@@ -49,6 +49,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <numeric>
 #include <optional>
 #include <set>
 #include <tuple>
@@ -158,16 +159,19 @@ class BrachaNode {
 
   /// Phase messages still awaiting at least one peer ack (quiescence
   /// tests pin it to 0 once every slot has delivered everywhere).
-  std::size_t unacked() const noexcept {
-    std::size_t n = 0;
-    for (const auto& [key, missing] : pending_acks_) n += !missing.empty();
-    return n;
-  }
+  std::size_t unacked() const noexcept { return outbox_.size(); }
 
  private:
   using Slot = std::pair<ProcessId, std::uint64_t>;  // (origin, seq)
   // (phase, origin, seq) — one reliably-sent message per key.
   using OutKey = std::tuple<std::uint8_t, ProcessId, std::uint64_t>;
+
+  /// A phase message still awaiting some live node's ack: the retransmit
+  /// copy plus the missing nodes in ascending order.
+  struct Unacked {
+    Msg msg;
+    std::vector<ProcessId> missing;
+  };
 
   struct SlotState {
     bool echoed = false;
@@ -190,14 +194,19 @@ class BrachaNode {
   }
 
   /// Broadcasts m and retransmits it to every node (self included — see
-  /// the header comment) until acked; one live key per phase and slot.
+  /// the header comment) until acked.  The outbox holds only unacked
+  /// messages, so it cannot deduplicate on its own; nothing needs it to:
+  /// each key is sent at most once in the node's lifetime.  A kSend key
+  /// carries a fresh seq from the monotone next_seq_, and an ECHO or
+  /// READY key is sent only behind its slot's `echoed` / `readied` flag,
+  /// which is set first and never cleared (slots_ is not pruned).
   void reliable_send_all(Msg m) {
     const OutKey key{static_cast<std::uint8_t>(m.type), m.origin, m.seq};
-    if (outbox_.contains(key)) return;
-    auto& missing = pending_acks_[key];
-    for (ProcessId p = 0; p < net_.num_nodes(); ++p) missing.insert(p);
+    TS_ASSERT(!outbox_.contains(key));
+    std::vector<ProcessId> missing(net_.num_nodes());
+    std::iota(missing.begin(), missing.end(), ProcessId{0});
     net_.send_all(self_, m);
-    outbox_.emplace(key, std::move(m));
+    outbox_.emplace(key, Unacked{std::move(m), std::move(missing)});
     arm_timer();
   }
 
@@ -209,26 +218,31 @@ class BrachaNode {
 
   void on_timer() {
     // Mirrors ErbNode::on_timer: retransmit to the still-missing, write
-    // off crashed peers via the crash oracle, stay armed only while
-    // acks are outstanding so a settled cluster quiesces.
+    // off crashed peers via the crash oracle (dropping a message once no
+    // live node is missing it), stay armed only while acks are
+    // outstanding so a settled cluster quiesces.
     timer_armed_ = false;
-    bool any_missing = false;
-    for (auto& [key, missing] : pending_acks_) {
+    for (auto it = outbox_.begin(); it != outbox_.end();) {
+      auto& [m, missing] = it->second;
       std::erase_if(missing,
                     [this](ProcessId p) { return net_.is_crashed(p); });
-      if (missing.empty()) continue;
-      any_missing = true;
-      const auto& m = outbox_.at(key);
+      if (missing.empty()) {
+        it = outbox_.erase(it);
+        continue;
+      }
       for (ProcessId p : missing) net_.send(self_, p, m);
+      ++it;
     }
-    if (any_missing) arm_timer();
+    if (!outbox_.empty()) arm_timer();
   }
 
   void on_message(ProcessId from, const Msg& m) {
     if (m.type == Msg::Type::kAck) {
-      auto it = pending_acks_.find(
+      auto it = outbox_.find(
           OutKey{static_cast<std::uint8_t>(m.acked), m.origin, m.seq});
-      if (it != pending_acks_.end()) it->second.erase(from);
+      if (it == outbox_.end()) return;
+      std::erase(it->second.missing, from);
+      if (it->second.missing.empty()) outbox_.erase(it);
       return;
     }
     // Ack back so the sender can stop retransmitting this phase to us.
@@ -329,8 +343,9 @@ class BrachaNode {
   bool timer_armed_ = false;
   std::uint64_t next_seq_ = 0;
   std::map<Slot, SlotState> slots_;
-  std::map<OutKey, Msg> outbox_;
-  std::map<OutKey, std::set<ProcessId>> pending_acks_;
+  /// In flight only: fully acked messages are erased.  Ordered, because
+  /// on_timer's walk order is the retransmit send order.
+  std::map<OutKey, Unacked> outbox_;
   std::vector<std::uint64_t> next_deliver_;
   std::uint64_t delivered_n_ = 0;
 };

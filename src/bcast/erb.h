@@ -14,12 +14,17 @@
 // making delivery survive probabilistic message drops (the network may
 // drop any single send; retransmission gives eventual delivery on fair
 // links).
+//
+// A node keeps only in-flight state: out-of-order messages until they
+// deliver, and a retransmit copy of each message until every live peer
+// acked it.  Duplicates are recognised by the per-origin delivered
+// frontier, so neither memory nor the retransmit walk grows with the
+// number of messages delivered so far.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <set>
 #include <vector>
 
 #include "net/simnet.h"
@@ -53,6 +58,7 @@ template <typename Payload, typename NetT = SimNet<ErbMsg<Payload>>>
 class ErbNode {
  public:
   using Net = NetT;
+  using Msg = ErbMsg<Payload>;
   using Deliver = std::function<void(ProcessId origin, std::uint64_t seq,
                                      const Payload&)>;
 
@@ -61,7 +67,7 @@ class ErbNode {
       : net_(net), self_(self), deliver_(std::move(deliver)),
         retransmit_every_(retransmit_every),
         next_deliver_(net.num_nodes(), 0) {
-    net_.set_handler(self_, [this](ProcessId from, const ErbMsg<Payload>& m) {
+    net_.set_handler(self_, [this](ProcessId from, const Msg& m) {
       on_message(from, m);
     });
     net_.set_timer_handler(self_, [this](std::uint64_t) { on_timer(); });
@@ -70,9 +76,7 @@ class ErbNode {
   /// FIFO-broadcasts payload from this node; returns its sequence number.
   std::uint64_t broadcast(Payload p) {
     const std::uint64_t seq = next_seq_++;
-    ErbMsg<Payload> m{ErbMsg<Payload>::Type::kData, self_, seq,
-                      std::move(p)};
-    store_and_forward(m);
+    store_and_forward(Msg{Msg::Type::kData, self_, seq, std::move(p)});
     return seq;
   }
 
@@ -93,22 +97,44 @@ class ErbNode {
 
   /// Messages still awaiting at least one peer ack (retransmission is
   /// live while this is non-zero; quiescence tests pin it to 0).
-  std::size_t unacked() const noexcept {
-    std::size_t n = 0;
-    for (const auto& [key, missing] : pending_acks_) n += !missing.empty();
-    return n;
+  std::size_t unacked() const noexcept { return pending_acks_.size(); }
+
+  /// Per-message state held right now: undelivered out-of-order messages
+  /// plus retransmit copies.  Delivered, fully acked messages leave
+  /// nothing behind, so a quiescent node retains 0 however long it ran.
+  std::size_t retained() const noexcept {
+    return undelivered_.size() + pending_acks_.size();
   }
 
  private:
   using Key = std::pair<ProcessId, std::uint64_t>;
 
-  void store_and_forward(const ErbMsg<Payload>& m) {
+  /// A message this node forwarded that some live peer has not acked:
+  /// the retransmit copy plus the missing peers in ascending order.
+  struct Unacked {
+    Msg msg;
+    std::vector<ProcessId> missing;
+  };
+
+  /// Dedup without a delivered-message archive: below the origin's FIFO
+  /// frontier means delivered; otherwise the message is either buffered
+  /// out of order or (only while its delivery callback runs) held as a
+  /// retransmit copy.
+  bool seen(const Key& key) const {
+    return key.second < next_deliver_[key.first] ||
+           undelivered_.contains(key) || pending_acks_.contains(key);
+  }
+
+  void store_and_forward(const Msg& m) {
     const Key key{m.origin, m.seq};
-    if (known_.contains(key)) return;
-    known_.emplace(key, m);
-    pending_acks_[key] = {};
+    if (seen(key)) return;
+    undelivered_.emplace(key, m);
+    std::vector<ProcessId> missing;
     for (ProcessId p = 0; p < net_.num_nodes(); ++p) {
-      if (p != self_) pending_acks_[key].insert(p);
+      if (p != self_) missing.push_back(p);
+    }
+    if (!missing.empty()) {
+      pending_acks_.emplace(key, Unacked{m, std::move(missing)});
     }
     net_.send_all(self_, m);
     arm_timer();
@@ -121,15 +147,16 @@ class ErbNode {
     net_.set_timer(self_, retransmit_every_, 0);
   }
 
-  void on_message(ProcessId from, const ErbMsg<Payload>& m) {
-    if (m.type == ErbMsg<Payload>::Type::kAck) {
+  void on_message(ProcessId from, const Msg& m) {
+    if (m.type == Msg::Type::kAck) {
       auto it = pending_acks_.find(Key{m.origin, m.seq});
-      if (it != pending_acks_.end()) it->second.erase(from);
+      if (it == pending_acks_.end()) return;
+      std::erase(it->second.missing, from);
+      if (it->second.missing.empty()) pending_acks_.erase(it);
       return;
     }
     // Ack back to the forwarder so it can stop retransmitting to us.
-    ErbMsg<Payload> ack{ErbMsg<Payload>::Type::kAck, m.origin, m.seq, {}};
-    net_.send(self_, from, ack);
+    net_.send(self_, from, Msg{Msg::Type::kAck, m.origin, m.seq, {}});
     store_and_forward(m);
   }
 
@@ -140,27 +167,35 @@ class ErbNode {
     // instead of retransmitted to forever — the simulator's crash oracle
     // stands in for the crash-stop model's perfect failure detector
     // (without it, one crashed peer keeps every correct node's timer
-    // armed and the network never quiesces).
+    // armed and the network never quiesces).  Only in-flight messages
+    // are walked, in (origin, seq) order, each to its missing peers in
+    // ascending order — the send sequence, and so every seeded Rng draw
+    // behind it, is fixed by the set of unacked messages alone.
     timer_armed_ = false;
-    bool any_missing = false;
-    for (auto& [key, missing] : pending_acks_) {
+    for (auto it = pending_acks_.begin(); it != pending_acks_.end();) {
+      auto& [msg, missing] = it->second;
       std::erase_if(missing,
                     [this](ProcessId p) { return net_.is_crashed(p); });
-      if (missing.empty()) continue;
-      any_missing = true;
-      const auto& m = known_.at(key);
-      for (ProcessId p : missing) net_.send(self_, p, m);
+      if (missing.empty()) {
+        it = pending_acks_.erase(it);
+        continue;
+      }
+      for (ProcessId p : missing) net_.send(self_, p, msg);
+      ++it;
     }
-    if (any_missing) arm_timer();
+    if (!pending_acks_.empty()) arm_timer();
   }
 
   void try_deliver(ProcessId origin) {
     // FIFO: deliver contiguous sequence numbers only.
     for (;;) {
-      const Key key{origin, next_deliver_[origin]};
-      auto it = known_.find(key);
-      if (it == known_.end()) return;
-      deliver_(origin, it->second.seq, it->second.payload);
+      auto it = undelivered_.find(Key{origin, next_deliver_[origin]});
+      if (it == undelivered_.end()) return;
+      // Detach the message before the callback: it stays alive until the
+      // callback returns, and a callback that re-enters broadcast() (and
+      // so this loop) no longer finds it, so it cannot deliver it twice.
+      const auto node = undelivered_.extract(it);
+      deliver_(origin, node.key().second, node.mapped().payload);
       ++delivered_n_;
       ++next_deliver_[origin];
     }
@@ -172,8 +207,12 @@ class ErbNode {
   std::uint64_t retransmit_every_;
   bool timer_armed_ = false;
   std::uint64_t next_seq_ = 0;
-  std::map<Key, ErbMsg<Payload>> known_;
-  std::map<Key, std::set<ProcessId>> pending_acks_;
+  /// Received but not yet deliverable (a gap below it in its origin's
+  /// sequence); an in-order message passes through immediately.
+  std::map<Key, Msg> undelivered_;
+  /// In flight: forwarded and not yet acked by every live peer.  Ordered,
+  /// because on_timer's walk order is the retransmit send order.
+  std::map<Key, Unacked> pending_acks_;
   std::vector<std::uint64_t> next_deliver_;
   std::uint64_t delivered_n_ = 0;
 };

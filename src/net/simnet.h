@@ -224,8 +224,8 @@ class SimNet {
   /// node's timer handler with `timer_id` (legacy protocol-engine path).
   void set_timer(ProcessId node, std::uint64_t delay,
                  std::uint64_t timer_id) {
-    events_.push(Event{now_ + delay, next_tie(false), Event::kTimer, node,
-                       node, Msg{}, timer_id, {}});
+    push_event(Event{now_ + delay, next_tie(false), Event::kTimer, node,
+                     node, Msg{}, timer_id, {}});
   }
 
   /// set_timer for auxiliary-class protocol engines (relay recovery):
@@ -233,8 +233,8 @@ class SimNet {
   /// sequence so arming/cancelling it cannot reorder primary events.
   void set_timer_aux(ProcessId node, std::uint64_t delay,
                      std::uint64_t timer_id) {
-    events_.push(Event{now_ + delay, next_tie(true), Event::kTimer, node,
-                       node, Msg{}, timer_id, {}});
+    push_event(Event{now_ + delay, next_tie(true), Event::kTimer, node,
+                     node, Msg{}, timer_id, {}});
   }
 
   /// Schedules fn at now + delay on `node`; silently dropped if the node
@@ -243,24 +243,26 @@ class SimNet {
   /// node without sharing the timer handler.
   void call_at(ProcessId node, std::uint64_t delay, Callback fn) {
     TS_EXPECTS(node < num_nodes());
-    events_.push(Event{now_ + delay, next_tie(false), Event::kCall, node,
-                       node, Msg{}, 0, std::move(fn)});
+    push_event(Event{now_ + delay, next_tie(false), Event::kCall, node,
+                     node, Msg{}, 0, std::move(fn)});
   }
 
   /// Schedules a net-level control action at now + delay — runs
   /// unconditionally (fault schedules: partitions, crashes, heals).
   void schedule(std::uint64_t delay, Callback fn) {
-    events_.push(Event{now_ + delay, next_tie(false), Event::kControl, 0, 0,
-                       Msg{}, 0, std::move(fn)});
+    push_event(Event{now_ + delay, next_tie(false), Event::kControl, 0, 0,
+                     Msg{}, 0, std::move(fn)});
   }
 
   /// Delivers the next event; false when the queue is empty.
   bool step() {
-    if (events_.empty()) return false;
-    // Move, don't copy: top() is popped immediately, and Event carries a
-    // message payload plus a std::function — the hot path of every run.
-    Event e = std::move(const_cast<Event&>(events_.top()));
-    events_.pop();
+    if (queue_.empty()) return false;
+    const std::uint32_t slot = queue_.top().slot;
+    queue_.pop();
+    // Move the event out and free its slot BEFORE dispatch: handlers
+    // schedule new events, which may reuse the slot or grow the slab.
+    Event e = std::move(slab_[slot]);
+    free_.push_back(slot);
     now_ = e.time;
     switch (e.kind) {
       case Event::kControl:
@@ -294,7 +296,11 @@ class SimNet {
     return processed;
   }
 
-  bool idle() const noexcept { return events_.empty(); }
+  bool idle() const noexcept { return queue_.empty(); }
+
+  /// Event slots allocated so far: the high-water mark of simultaneously
+  /// queued events, since a dispatched event's slot is reused.
+  std::size_t event_slots() const noexcept { return slab_.size(); }
 
  private:
   static constexpr std::uint32_t kIsolated = 0xffffffffu;
@@ -311,11 +317,32 @@ class SimNet {
     std::uint64_t timer_id;
     Callback fn;
   };
+  /// What the heap orders: an event's (time, tie) and its slab slot.
+  /// (time, tie) is unique per event, so the pop sequence is fixed by
+  /// the keys alone — sifting moves 24 bytes, never a Msg or a Callback.
+  struct Key {
+    std::uint64_t time;
+    std::uint64_t tie;
+    std::uint32_t slot;
+  };
   struct Later {
-    bool operator()(const Event& a, const Event& b) const {
+    bool operator()(const Key& a, const Key& b) const {
       return a.time != b.time ? a.time > b.time : a.tie > b.tie;
     }
   };
+
+  void push_event(Event e) {
+    std::uint32_t slot;
+    if (free_.empty()) {
+      slot = static_cast<std::uint32_t>(slab_.size());
+      slab_.push_back(std::move(e));
+    } else {
+      slot = free_.back();
+      free_.pop_back();
+      slab_[slot] = std::move(e);
+    }
+    queue_.push(Key{slab_[slot].time, slab_[slot].tie, slot});
+  }
 
   void push_message(ProcessId from, ProcessId to, Msg m, bool aux) {
     std::uint64_t lo = cfg_.min_delay, hi = cfg_.max_delay;
@@ -327,8 +354,8 @@ class SimNet {
       }
     }
     const std::uint64_t delay = (aux ? aux_rng_ : rng_).range(lo, hi);
-    events_.push(Event{now_ + delay, next_tie(aux), Event::kMsg, from, to,
-                       std::move(m), 0, {}});
+    push_event(Event{now_ + delay, next_tie(aux), Event::kMsg, from, to,
+                     std::move(m), 0, {}});
   }
 
   /// Two disjoint tie-break sequences (primary even, aux odd): the
@@ -353,7 +380,11 @@ class SimNet {
   std::map<std::pair<ProcessId, ProcessId>,
            std::pair<std::uint64_t, std::uint64_t>>
       link_delay_;
-  std::priority_queue<Event, std::vector<Event>, Later> events_;
+  // The event queue: events live in a slab (freed slots are reused), and
+  // a binary heap of keys orders them by (time, insertion order).
+  std::vector<Event> slab_;
+  std::vector<std::uint32_t> free_;
+  std::priority_queue<Key, std::vector<Key>, Later> queue_;
   NetStats stats_;
 };
 

@@ -179,10 +179,11 @@ class LedgerHarness {
   /// audit_conservation — one implementation for all three harnesses.)
   ScenarioReport finish(
       const std::function<std::optional<std::string>(const SM&)>& conserve) {
-    drain_cluster(net_, nodes_, correct_);
+    const bool quiescent = drain_cluster(net_, nodes_, correct_);
     const std::size_t ref = reference_replica(correct_);
     ScenarioReport rep = cluster_report(cfg_, net_, nodes_, correct_,
                                         nodes_[ref]->log().size());
+    note_quiescence(rep, quiescent);
     audit_conservation(rep, nodes_, [&conserve](const Node& n) {
       return conserve(n.machine());
     });
@@ -367,7 +368,7 @@ ScenarioReport run_dyntoken_reconfig(const ScenarioConfig& cfg) {
     }
   }
 
-  drain_to_convergence(net, [&nodes, &correct] {
+  const bool quiescent = drain_to_convergence(net, [&nodes, &correct] {
     for (std::size_t p = 0; p < nodes.size(); ++p) {
       if (correct[p]) nodes[p]->sync();
     }
@@ -379,6 +380,7 @@ ScenarioReport run_dyntoken_reconfig(const ScenarioConfig& cfg) {
                        net.now(), net.stats(), nodes[ref]->history(),
                        nodes[ref]->processed_ops(),
                        nodes[ref]->last_commit_time());
+  note_quiescence(rep, quiescent);
   rep.submitted = submitted;
   const Amount expected = kInitial * n;
   for (std::size_t p = 0; p < n; ++p) {
@@ -455,7 +457,7 @@ ScenarioReport run_at_bcast_payments(const ScenarioConfig& cfg) {
   // to call (the extra drain rounds are no-ops once the queue empties —
   // ERB writes off crashed peers via the crash oracle, so the network
   // quiesces under every profile).
-  drain_to_convergence(net, /*sync_all=*/nullptr);
+  const bool quiescent = drain_to_convergence(net, /*sync_all=*/nullptr);
 
   const std::size_t ref = reference_replica(correct);
   std::string h = "applied=" + std::to_string(nodes[ref]->applied_count()) +
@@ -469,6 +471,7 @@ ScenarioReport run_at_bcast_payments(const ScenarioConfig& cfg) {
                        net.now(), net.stats(), std::move(h),
                        nodes[ref]->applied_count(),
                        nodes[ref]->last_applied_time());
+  note_quiescence(rep, quiescent);
   rep.submitted = submitted;
   const Amount expected = kInitial * n;
   for (std::size_t p = 0; p < n; ++p) {
@@ -743,12 +746,13 @@ class BlockHarness {
         net_.call_at(p, t, [this, p] { nodes_[p]->on_deadline(); });
       }
     }
-    drain_cluster(net_, nodes_, correct_);
+    const bool quiescent = drain_cluster(net_, nodes_, correct_);
     const std::size_t ref = reference_replica(correct_);
     ScenarioReport rep = rejoiner_
                              ? rejoin_report(ref)
                              : cluster_report(cfg_, net_, nodes_, correct_,
                                               nodes_[ref]->ops_committed());
+    note_quiescence(rep, quiescent);
     rep.slots = nodes_[ref]->blocks_committed();
     rep.proposal_bytes = nodes_[ref]->proposal_bytes();
     for (std::size_t p = 0; p < nodes_.size(); ++p) {
@@ -957,10 +961,11 @@ class MultiProposerHarness {
         net_.call_at(p, t, [this, p] { nodes_[p]->on_deadline(); });
       }
     }
-    drain_cluster(net_, nodes_, correct_);
+    const bool quiescent = drain_cluster(net_, nodes_, correct_);
     const std::size_t ref = reference_replica(correct_);
     ScenarioReport rep = cluster_report(cfg_, net_, nodes_, correct_,
                                         nodes_[ref]->ops_committed());
+    note_quiescence(rep, quiescent);
     rep.slots = nodes_[ref]->slots_committed();
     rep.proposal_bytes = nodes_[ref]->proposal_bytes();
     if (rep.slots > 0) {
@@ -1152,7 +1157,7 @@ class HybridHarness {
   ScenarioReport finish(
       const std::function<std::optional<std::string>(
           const typename Spec::SeqState&)>& conserve) {
-    drain_cluster(net_, nodes_, correct_);
+    const bool quiescent = drain_cluster(net_, nodes_, correct_);
     // Terminal fast epoch — correct replicas only (a crashed replica
     // cannot run anything; its history stays a prefix by construction).
     for (std::size_t p = 0; p < nodes_.size(); ++p) {
@@ -1163,6 +1168,7 @@ class HybridHarness {
     ScenarioReport rep =
         cluster_report(cfg_, net_, nodes_, correct_,
                        nodes_[ref]->engine().ops_applied());
+    note_quiescence(rep, quiescent);
     rep.slots = nodes_[ref]->consensus_slots();
     rep.fast_lane_ops = nodes_[ref]->fast_lane_ops();
     rep.proposal_bytes = nodes_[ref]->proposal_bytes();
@@ -1442,7 +1448,7 @@ class ShardHarness {
     // Ten rounds of run-to-quiescence + cut cover the longest chain
     // (prepare -> commit -> ack, or out -> in -> ack, each stage one
     // commit plus one cut) with room for lossy retransmits.
-    drain_to_convergence(net_, [this] {
+    const bool quiescent = drain_to_convergence(net_, [this] {
       for (std::size_t p = 0; p < nodes_.size(); ++p) {
         if (correct_[p]) {
           nodes_[p]->sync();
@@ -1457,6 +1463,7 @@ class ShardHarness {
                          cfg_.num_replicas, net_.now(), net_.stats(),
                          nodes_[ref]->history(), nodes_[ref]->ops_committed(),
                          nodes_[ref]->last_commit_time());
+    note_quiescence(rep, quiescent);
 
     // Agreement/settlement.  Correct replicas: the CONCATENATED history
     // must match byte for byte.  A crashed replica stopped mid-log in

@@ -417,14 +417,26 @@ void arm_fault_schedule(SimNet<Msg>& net, FaultProfile f,
 /// converge.  The round count is fixed — not until-settled — because a
 /// replica can be unsettled for reasons syncing never fixes (its peers
 /// genuinely never decided), and a fixed schedule keeps the run a pure
-/// function of the seed.
+/// function of the seed.  Returns whether the network quiesced: false
+/// iff the final drain exhausted its event budget with events still
+/// queued (harnesses report that through note_quiescence).
 template <typename Net>
-void drain_to_convergence(Net& net, const std::function<void()>& sync_all,
-                          std::size_t budget = 4'000'000, int rounds = 10) {
+[[nodiscard]] bool drain_to_convergence(
+    Net& net, const std::function<void()>& sync_all,
+    std::size_t budget = 4'000'000, int rounds = 10) {
   net.run(budget);
   for (int r = 0; r < rounds; ++r) {
     if (sync_all) sync_all();
     net.run(budget);
+  }
+  return net.idle();
+}
+
+/// Records the violation for a drain that did not quiesce: events left
+/// behind mean the audited state is not the run's final state.
+inline void note_quiescence(ScenarioReport& rep, bool quiescent) {
+  if (!quiescent) {
+    rep.violations.push_back("non-quiescent: event budget exhausted");
   }
 }
 
@@ -516,9 +528,10 @@ void audit_replica_cluster(ScenarioReport& rep,
 /// The drain step every replica-cluster harness shares: run to
 /// quiescence with anti-entropy probes from the correct replicas.
 template <typename Net, typename Node>
-void drain_cluster(Net& net, const std::vector<std::unique_ptr<Node>>& nodes,
-                   const std::vector<bool>& correct) {
-  drain_to_convergence(net, [&nodes, &correct] {
+[[nodiscard]] bool drain_cluster(
+    Net& net, const std::vector<std::unique_ptr<Node>>& nodes,
+    const std::vector<bool>& correct) {
+  return drain_to_convergence(net, [&nodes, &correct] {
     for (std::size_t p = 0; p < nodes.size(); ++p) {
       if (correct[p]) nodes[p]->sync();
     }
@@ -605,7 +618,7 @@ ScenarioReport run_token_race_scenario(std::size_t k, FaultProfile fault,
     net.call_at(p, 60 + 3 * p, [node] { node->submit(RaceCmd::race()); });
   }
 
-  drain_cluster(net, nodes, correct);
+  const bool quiescent = drain_cluster(net, nodes, correct);
 
   ScenarioReport rep;
   const std::size_t ref = reference_replica(correct);
@@ -614,6 +627,7 @@ ScenarioReport run_token_race_scenario(std::size_t k, FaultProfile fault,
                        nodes[ref]->log().empty()
                            ? 0
                            : nodes[ref]->log().back().time);
+  note_quiescence(rep, quiescent);
   audit_replica_cluster(rep, nodes, correct);
 
   // Cross-participant agreement on the decided value, and validity.

@@ -178,7 +178,7 @@ struct DirectCluster {
 
   void drain_and_finalize() {
     const std::vector<bool> correct(kN, true);
-    drain_cluster(net, nodes, correct);
+    EXPECT_TRUE(drain_cluster(net, nodes, correct));
     for (auto& n : nodes) n->finalize();
   }
 };

@@ -159,7 +159,7 @@ TEST(CompactRelayRecovery, ForcedMissRecoversEveryBlock) {
       }
     }
     const std::vector<bool> correct(4, true);
-    drain_cluster(net, nodes, correct);
+    EXPECT_TRUE(drain_cluster(net, nodes, correct));
     return nodes;
   };
 
@@ -274,7 +274,7 @@ TEST(ErbBatchCut, DeadlineFlushAndEmptyTick) {
   net.call_at(1, 5, [n1] { n1->submit(1, Erc20Op::transfer(0, 2)); });
 
   const std::vector<bool> correct(4, true);
-  drain_cluster(net, nodes, correct);
+  EXPECT_TRUE(drain_cluster(net, nodes, correct));
   for (ProcessId p = 0; p < 4; ++p) nodes[p]->finalize();
 
   EXPECT_EQ(nodes[0]->fast_batches(), 1u);  // size cut only, no empty tick

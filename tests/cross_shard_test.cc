@@ -66,14 +66,14 @@ struct Cluster {
   /// each round flushes the reaction-chain submissions the previous
   /// round's commits spawned.
   void drain(const std::vector<bool>& correct, int rounds = 12) {
-    drain_to_convergence(net, [this, &correct] {
+    EXPECT_TRUE(drain_to_convergence(net, [this, &correct] {
       for (std::size_t p = 0; p < nodes.size(); ++p) {
         if (correct[p]) {
           nodes[p]->sync();
           nodes[p]->on_deadline();
         }
       }
-    }, 4'000'000, rounds);
+    }, 4'000'000, rounds));
   }
 
   /// The atomicity invariant, valid at ANY point of the run (not just

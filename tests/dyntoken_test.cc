@@ -29,9 +29,9 @@ struct Cluster {
   // disseminations (drops) queries its next unprocessed slots and pulls
   // the chain in.
   void settle(std::size_t budget = 4000000) {
-    drain_to_convergence(net, [this] {
+    EXPECT_TRUE(drain_to_convergence(net, [this] {
       for (const auto& n : nodes) n->sync();
-    }, budget);
+    }, budget));
   }
 
   bool all_settled() const {

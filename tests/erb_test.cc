@@ -13,6 +13,9 @@
 //   * crashed peers are written off: a dead receiver must not keep the
 //     retransmission timer armed forever (the simulator's crash oracle
 //     stands in for the crash-stop model's failure detector);
+//   * only in-flight state is kept: a quiescent node retains nothing per
+//     message, and a late duplicate of a pruned message is recognised by
+//     the delivered frontier alone;
 //   * the frontier accessor the hybrid merge barrier snapshots.
 #include <gtest/gtest.h>
 
@@ -140,8 +143,76 @@ TEST(ErbEdge, CrashedReceiverIsWrittenOff) {
   for (ProcessId p = 0; p < 3; ++p) {
     ASSERT_EQ(c.delivered[p].size(), 1u) << "node " << p;
     EXPECT_EQ(c.nodes[p]->unacked(), 0u);
+    EXPECT_EQ(c.nodes[p]->retained(), 0u);
   }
   EXPECT_TRUE(c.delivered[3].empty());
+}
+
+TEST(ErbEdge, PeerCrashingMidStreamIsWrittenOffAndLaneQuiesces) {
+  // The crash lands while messages are in flight under loss, so some
+  // retransmit copies are missing only the dead peer: the timer's
+  // write-off must erase them, not keep walking them.
+  Cluster c(4, NetConfig{.seed = 31, .min_delay = 1, .max_delay = 9,
+                         .drop_num = 20, .drop_den = 100});
+  for (std::uint64_t i = 0; i < 12; ++i) c.nodes[i % 3]->broadcast(Note{i});
+  c.net.schedule(4, [&c] { c.net.crash(3); });
+  const std::size_t budget = 1'000'000;
+  EXPECT_LT(c.net.run(budget), budget);
+  EXPECT_TRUE(c.net.idle());
+  for (ProcessId p = 0; p < 3; ++p) {
+    EXPECT_EQ(c.delivered[p].size(), 12u) << "node " << p;
+    EXPECT_EQ(c.nodes[p]->unacked(), 0u) << "node " << p;
+    EXPECT_EQ(c.nodes[p]->retained(), 0u) << "node " << p;
+  }
+}
+
+TEST(ErbEdge, QuiescentNodesRetainNoPerMessageState) {
+  // Delivered, fully acked messages leave nothing behind: after 60
+  // broadcasts under loss and duplication reach quiescence, every node
+  // holds neither buffered nor retransmit copies.
+  Cluster c(4, NetConfig{.seed = 44, .min_delay = 1, .max_delay = 12,
+                         .drop_num = 10, .drop_den = 100,
+                         .dup_num = 20, .dup_den = 100});
+  for (std::uint64_t i = 0; i < 60; ++i) c.nodes[i % 4]->broadcast(Note{i});
+  // Mid-run, something is in flight somewhere.
+  c.net.run(200);
+  std::size_t live = 0;
+  for (const auto& n : c.nodes) live += n->retained();
+  EXPECT_GT(live, 0u);
+  c.net.run(4'000'000);
+  ASSERT_TRUE(c.net.idle());
+  for (ProcessId p = 0; p < 4; ++p) {
+    EXPECT_EQ(c.nodes[p]->delivered_count(), 60u) << "node " << p;
+    EXPECT_EQ(c.nodes[p]->unacked(), 0u) << "node " << p;
+    EXPECT_EQ(c.nodes[p]->retained(), 0u) << "node " << p;
+  }
+}
+
+TEST(ErbEdge, LateDuplicateOfPrunedMessageIsIgnored) {
+  // Node 2 delivered (0, 0) and pruned it long ago.  A stale copy — even
+  // one whose payload differs — is acked, but neither re-delivered nor
+  // re-forwarded: the delivered frontier alone recognises it.
+  Cluster c(4, NetConfig{.seed = 8, .min_delay = 1, .max_delay = 6});
+  c.nodes[0]->broadcast(Note{5});
+  c.nodes[0]->broadcast(Note{6});
+  c.net.run(1'000'000);
+  ASSERT_TRUE(c.net.idle());
+  ASSERT_EQ(c.nodes[2]->retained(), 0u);
+  const std::uint64_t sent = c.net.stats().sent;
+  const auto delivered = c.delivered[2];
+
+  using M = ErbMsg<Note>;
+  c.net.send(1, 2, M{M::Type::kData, 0, 0, Note{5}});
+  c.net.send(3, 2, M{M::Type::kData, 0, 1, Note{99}});
+  c.net.run(1'000'000);
+  EXPECT_TRUE(c.net.idle());
+  // Two injected copies plus node 2's two acks — no forwarding.
+  EXPECT_EQ(c.net.stats().sent, sent + 4);
+  EXPECT_EQ(c.delivered[2], delivered);
+  for (ProcessId p = 0; p < 4; ++p) {
+    EXPECT_EQ(c.nodes[p]->delivered_count(), 2u) << "node " << p;
+    EXPECT_EQ(c.nodes[p]->retained(), 0u) << "node " << p;
+  }
 }
 
 TEST(ErbEdge, FrontierTracksPerOriginDelivery) {

@@ -126,7 +126,7 @@ TEST(MultiProposerRecovery, ForcedMissFetchesEverySubBlock) {
     }
   }
   const std::vector<bool> correct(4, true);
-  drain_cluster(net, nodes, correct);
+  EXPECT_TRUE(drain_cluster(net, nodes, correct));
 
   std::uint64_t recoveries = 0;
   for (ProcessId p = 0; p < 4; ++p) {
@@ -187,7 +187,7 @@ TEST(MultiProposerDedup, RacingProposersApplyExactlyOnce) {
   net.call_at(1, 30, [other] { other->propose_now(); });
 
   const std::vector<bool> correct(4, true);
-  drain_cluster(net, nodes, correct);
+  EXPECT_TRUE(drain_cluster(net, nodes, correct));
 
   for (ProcessId p = 0; p < 4; ++p) {
     EXPECT_TRUE(nodes[p]->all_settled()) << "replica " << p;

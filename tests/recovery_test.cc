@@ -284,7 +284,7 @@ struct Cluster {
 
   void drain() {
     const std::vector<bool> correct(kN, true);
-    drain_cluster(net, nodes, correct);
+    EXPECT_TRUE(drain_cluster(net, nodes, correct));
   }
 };
 
@@ -484,7 +484,7 @@ TEST(HybridTerminalSnapshot, ConvergedReplicasHashEqual) {
     }
   }
   const std::vector<bool> correct(4, true);
-  drain_cluster(net, nodes, correct);
+  EXPECT_TRUE(drain_cluster(net, nodes, correct));
   for (ProcessId p = 0; p < 4; ++p) nodes[p]->finalize();
 
   const Snapshot<Erc20LedgerSpec> ref = nodes[0]->terminal_snapshot();
