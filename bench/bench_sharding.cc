@@ -7,7 +7,13 @@
 //                            block pipeline over the shared SimNet;
 //   cross_pct ∈ {10, 40}     the fraction of transfers forced across
 //                            groups (2PC prepare/commit/ack instead of
-//                            one in-lane op).
+//                            one in-lane op);
+//   accounts ∈ {16, 4096}    the keyspace (ScenarioConfig::
+//                            shard_accounts).  Every cell above runs 16
+//                            accounts; one extra cell,
+//                            groups:4/cross:10/accounts:4096, shows which
+//                            host costs grow with the keyspace rather
+//                            than with the ops (E29).
 //
 // The workload is sized so consensus is SIZE-cut-bound (block_max_ops
 // 2, intensity 16): at one group every transfer shares a single total
@@ -32,7 +38,8 @@
 //                      bill (more groups = more, smaller blocks).
 //
 // Wall-clock time per iteration is the SIMULATION cost, not a protocol
-// claim.  Alongside the console output the binary always writes
+// claim; the keyspace axis reads it as real_time / committed, the host
+// ns per committed op.  Alongside the console output the binary always writes
 // BENCH_sharding.json, copied into bench/results/ on unfiltered runs
 // (README.md "Reading the benchmarks").
 #include <benchmark/benchmark.h>
@@ -57,6 +64,7 @@ void Sharding_ZipfianStorm(benchmark::State& state) {
   cfg.block_max_ops = 2;  // size-cut-bound: slots track the op volume
   cfg.num_groups = static_cast<std::uint32_t>(state.range(0));
   cfg.cross_pct = static_cast<std::uint32_t>(state.range(1));
+  cfg.shard_accounts = static_cast<std::size_t>(state.range(2));
   ScenarioReport rep;
   for (auto _ : state) {
     rep = run_scenario(cfg);
@@ -68,7 +76,8 @@ void Sharding_ZipfianStorm(benchmark::State& state) {
   }
   state.SetLabel(rep.workload + "/" + rep.fault + "/groups=" +
                  std::to_string(cfg.num_groups) + "/cross=" +
-                 std::to_string(cfg.cross_pct));
+                 std::to_string(cfg.cross_pct) + "/accounts=" +
+                 std::to_string(cfg.shard_accounts));
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(rep.committed));
   state.counters["committed"] = static_cast<double>(rep.committed);
@@ -93,14 +102,17 @@ void sharding_grid(benchmark::internal::Benchmark* b) {
     // cross_pct is inert at one group (everything is intra); pin the
     // baseline to one cell rather than report duplicates.
     if (groups == 1) {
-      b->Args({1, 0});
+      b->Args({1, 0, 16});
       continue;
     }
     for (int cross : {10, 40}) {
-      b->Args({groups, cross});
+      b->Args({groups, cross, 16});
     }
   }
-  b->ArgNames({"groups", "cross"});
+  // The keyspace axis: the intra-heavy 4-group cell again, over 4096
+  // accounts.
+  b->Args({4, 10, 4096});
+  b->ArgNames({"groups", "cross", "accounts"});
   b->MinTime(0.01);
 }
 

@@ -43,6 +43,10 @@
 // Operations in a batch are linearized in an order consistent with some
 // sequential execution, but not necessarily submission order across
 // shards — by construction the reordered operations commute.
+//
+// apply_exclusive() is the lock-free path for a caller that holds the
+// ledger alone (the parallel executor's sequential lane): the same
+// Δ-transition and validation work, no footprint passes, no locks.
 #pragma once
 
 #include <algorithm>
@@ -166,6 +170,19 @@ class ConcurrentLedger {
     }
   }
 
+  /// Invokes one operation while the caller holds the ledger EXCLUSIVELY
+  /// (no other thread reads or writes it until this returns): the same
+  /// validation work and Δ-transition as apply(), without the footprint
+  /// passes or locks.  With nobody else on the ledger the σ-group cannot
+  /// move and no lock can contend, so apply() would validate on its first
+  /// pass and return the same response — this path just skips the
+  /// bookkeeping.  The executor's sequential lane uses it
+  /// (exec/parallel_executor.h); concurrent callers use apply().
+  Response apply_exclusive(ProcessId caller, const Op& op) {
+    simulated_validation(validation_spin_);
+    return S::apply_inplace(state_, caller, op);
+  }
+
   /// Applies a batch, grouping commuting single-shard operations so each
   /// group pays ONE lock acquisition.  Responses are returned in batch
   /// order; the execution is equivalent to some sequential order.
@@ -231,6 +248,13 @@ class ConcurrentLedger {
     unlock(all);
     return seq;
   }
+
+  /// The live state, read in place — same quiescent-only contract as
+  /// snapshot(), without the whole-state lock and copy.  Lets a caller
+  /// that already knows which records changed (net/shard_group.h's 2PC
+  /// driver reads only the txids its applied block carried) pay for
+  /// those, not for the keyspace.
+  const typename S::State& view() const noexcept { return state_; }
 
   std::size_t num_shards() const noexcept { return num_shards_; }
   std::size_t num_accounts() const { return S::num_accounts(state_); }

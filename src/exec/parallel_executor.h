@@ -24,9 +24,17 @@
 //
 // The executor amortizes nothing across batches and holds no state of
 // its own beyond the pool: determinism lives in the schedule, isolation
-// in the ledger's shard locks (a wave's disjoint footprints never
-// contend, but may share a shard when num_shards < num_accounts — the
-// lock serializes them and commutation keeps the outcome fixed).
+// in two places.  The executor has EXCLUSIVE use of its ledger during
+// execute() — no other thread touches the ledger while a batch runs
+// (ReplayEngine owns its ledger; every test and bench builds its own).
+// Waves run one after another and pool_->run returns only after every
+// worker finished, so a wave run on the calling thread — the sequential
+// lane: singleton barrier waves, or every wave at threads = 1 — holds
+// the ledger alone and applies through apply_exclusive(), with no
+// footprint passes and no locks.  Waves fanned over the pool apply
+// through apply() and its shard locks (a wave's disjoint footprints
+// never contend, but may share a shard when num_shards < num_accounts —
+// the lock serializes them and commutation keeps the outcome fixed).
 #pragma once
 
 #include <algorithm>
@@ -46,7 +54,7 @@
 namespace tokensync {
 
 struct ExecOptions {
-  /// Worker threads; 1 executes inline (no pool, no handshakes).
+  /// Worker threads; 1 executes inline (no pool, no handshakes, no locks).
   std::size_t threads = 1;
   /// Static chunking (true) vs dynamic work pulling (false); see file
   /// comment.  Both yield the same final state and responses.
@@ -102,10 +110,11 @@ class ParallelExecutor {
                 std::vector<std::size_t>& wave,
                 std::vector<Response>& out) {
     // Singleton waves — barriers (escalated / whole-state ops) and
-    // trickles — run on the calling thread: the sequential lane.
+    // trickles — run on the calling thread: the sequential lane.  No
+    // worker is running, so the ledger is ours alone (file comment).
     if (wave.size() == 1 || opts_.threads == 1) {
       for (const std::size_t i : wave) {
-        out[i] = ledger_.apply(batch[i].caller, batch[i].op);
+        out[i] = ledger_.apply_exclusive(batch[i].caller, batch[i].op);
       }
       return;
     }

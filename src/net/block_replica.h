@@ -261,11 +261,14 @@ class BlockReplicaNode {
   }
 
   /// Post-apply hook: invoked after each committed block is applied to
-  /// the local engine (slot = the block's consensus slot).  The shard
-  /// router's 2PC driver hangs off this to react to replicated state
-  /// transitions; reactions may re-enter submit() on this or sibling
-  /// nodes (apply never recurses — it only runs on commit delivery).
-  void set_on_apply(std::function<void(std::uint64_t slot)> fn) {
+  /// the local engine (slot = the block's consensus slot; `applied` = the
+  /// ops that block actually replayed, after the applied-id dedup).  The
+  /// shard router's 2PC driver hangs off this to react to replicated
+  /// state transitions — only those `applied` can have caused; reactions
+  /// may re-enter submit() on this or sibling nodes (apply never
+  /// recurses — it only runs on commit delivery).
+  void set_on_apply(
+      std::function<void(std::uint64_t slot, const Block<S>& applied)> fn) {
     on_apply_ = std::move(fn);
   }
 
@@ -374,7 +377,7 @@ class BlockReplicaNode {
           (slot + 1) % rcfg_.snapshot_interval == 0) {
         cut_snapshot(slot + 1);
       }
-      if (on_apply_) on_apply_(slot);
+      if (on_apply_) on_apply_(slot, fresh);
     }
     if (recovering_ && have_target_ &&
         tob_.delivered_count() >= target_frontier_) {
@@ -496,7 +499,7 @@ class BlockReplicaNode {
   Relay relay_;
   Recovery recovery_;
   ReplicaCore core_;
-  std::function<void(std::uint64_t)> on_apply_;
+  std::function<void(std::uint64_t, const Block<S>&)> on_apply_;
   std::deque<Parked> parked_;
   std::size_t ops_submitted_ = 0;
   std::uint64_t blocks_proposed_ = 0;

@@ -63,15 +63,27 @@
 // the run-time realization of the σ-group consensus the migration needs.
 //
 // The 2PC/migration DRIVER (ShardedReplicaNode) reacts to committed
-// stage transitions: after each block applies, the node scans the
-// group's tx records; the phase op's original caller reacts after a
-// short fixed delay and every other replica arms a staggered backup
-// timer that re-checks the replicated stage before submitting — so a
-// crashed or partitioned coordinator never wedges a transfer, and all
-// reactions are pure functions of (replicated state, deterministic
-// timers).  Committed per-group histories are therefore byte-identical
-// across replicas and replay thread counts per (seed, config) — the
-// sharded determinism criterion (tests/cross_shard_test.cc).
+// stage transitions: after each block applies, the node reads the tx
+// records of the txids that block's phase/migration ops carry; the
+// phase op's original caller reacts after a short fixed delay and every
+// other replica arms a staggered backup timer that re-checks the
+// replicated stage before submitting — so a crashed or partitioned
+// coordinator never wedges a transfer, and all reactions are pure
+// functions of (replicated state, deterministic timers).  Committed
+// per-group histories are therefore byte-identical across replicas and
+// replay thread counts per (seed, config) — the sharded determinism
+// criterion (tests/cross_shard_test.cc).
+//
+// Reading only the block's own txids is exact, not a sampling: a
+// record's stage changes only when an op carrying that txid applies
+// (apply_inplace writes s.txs[op.txid] and no other record), and this
+// runtime never installs a snapshot, so every record the block did not
+// name still holds the stage the driver last reacted to.  Visiting the
+// named txids in ascending order reproduces the reactions — and the
+// call_at sequence — of a walk over every record, at a cost that
+// follows the block instead of the keyspace.  ShardAudit's
+// reactions_complete re-checks that invariant over every record at the
+// end of each audited run.
 #pragma once
 
 #include <algorithm>
@@ -89,6 +101,7 @@
 #include "common/ids.h"
 #include "common/wire.h"
 #include "core/footprint.h"
+#include "exec/block.h"
 #include "exec/snapshot.h"
 #include "net/block_replica.h"
 #include "net/simnet.h"
@@ -688,6 +701,10 @@ struct ShardAudit {
   std::size_t cross_done = 0;     ///< 2PC transfers fully committed
   std::size_t cross_aborted = 0;  ///< 2PC transfers refunded
   std::size_t migrations = 0;     ///< migrations fully retired
+  /// Every tx record's stage equals the stage the driver last reacted to
+  /// — no committed transition went unseen (the file comment's touched-
+  /// txid invariant, checked over every record).
+  bool reactions_complete = true;
 };
 
 /// One node of the sharded cluster: G block-pipeline runtimes over one
@@ -728,7 +745,9 @@ class ShardedReplicaNode {
                               scfg_.initial_balance),
           bcfg, eopts, relay_mode));
       groups_.back()->set_on_apply(
-          [this, g](std::uint64_t /*slot*/) { on_group_apply(g); });
+          [this, g](std::uint64_t /*slot*/, const Block<Spec>& applied) {
+            on_group_apply(g, applied);
+          });
     }
   }
 
@@ -861,12 +880,17 @@ class ShardedReplicaNode {
     std::vector<std::uint32_t> owners(scfg_.num_accounts, 0);
     for (std::uint32_t g = 0; g < groups_.size(); ++g) {
       const ShardState q = group_state(g);
+      const auto& seen = stage_view_[g];
       a.quiescent = a.quiescent && q.quiescent();
       a.owned_total += q.owned_total();
       for (std::size_t acct = 0; acct < q.owned.size(); ++acct) {
         owners[acct] += q.owned[acct];
       }
       for (const auto& [txid, tx] : q.txs) {
+        const auto it = seen.find(txid);
+        if (it == seen.end() || it->second != tx.stage) {
+          a.reactions_complete = false;
+        }
         switch (tx.stage) {
           case ShardTxStage::kDone:
             ++a.cross_done;
@@ -896,16 +920,30 @@ class ShardedReplicaNode {
     return (static_cast<std::uint64_t>(self_) << 32) | seq_++;
   }
 
-  /// After a block applies in group g, diff the replicated tx records
-  /// against the last view and react to each transition exactly once.
-  void on_group_apply(std::uint32_t g) {
-    const ShardState q = group_state(g);
+  /// After a block applies in group g, diff the records of the txids
+  /// its phase/migration ops carry against the last view and react to
+  /// each transition exactly once, in ascending txid order (the file
+  /// comment says why no other record can have moved).  The records are
+  /// read in place: the engine is quiescent between blocks.
+  void on_group_apply(std::uint32_t g, const Block<Spec>& applied) {
+    std::vector<std::uint64_t> touched;
+    for (const auto& b : applied.ops) {
+      if (b.op.kind != ShardOpKind::kTransfer &&
+          b.op.kind != ShardOpKind::kBalanceOf) {
+        touched.push_back(b.op.txid);
+      }
+    }
+    std::sort(touched.begin(), touched.end());
+    touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+    const ShardState& q = groups_[g]->engine().ledger().view();
     auto& seen = stage_view_[g];
-    for (const auto& [txid, tx] : q.txs) {
+    for (const std::uint64_t txid : touched) {
+      const auto rec = q.txs.find(txid);
+      if (rec == q.txs.end()) continue;  // refused without a record
       const auto it = seen.find(txid);
-      if (it != seen.end() && it->second == tx.stage) continue;
-      seen[txid] = tx.stage;
-      react(txid, tx);
+      if (it != seen.end() && it->second == rec->second.stage) continue;
+      seen[txid] = rec->second.stage;
+      react(txid, rec->second);
     }
   }
 

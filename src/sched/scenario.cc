@@ -1504,7 +1504,10 @@ class ShardHarness {
     // protocol records terminal (nothing in flight), every account owned
     // by exactly one group, and the owned balances sum to the initial
     // supply — a half-applied cross-shard transfer or a migration leak
-    // breaks one of the three.
+    // breaks one of the three.  The same pass checks that the 2PC driver
+    // reacted to every record's committed stage (ShardAudit::
+    // reactions_complete) — the invariant that lets it read only the
+    // txids each applied block carries.
     const Amount expected = nodes_[ref]->expected_supply();
     for (std::size_t p = 0; p < nodes_.size(); ++p) {
       if (!correct_[p]) continue;
@@ -1524,6 +1527,11 @@ class ShardHarness {
         rep.violations.push_back(
             "replica " + std::to_string(p) + ": supply " +
             std::to_string(a.owned_total) + " != " + std::to_string(expected));
+      }
+      if (!a.reactions_complete) {
+        rep.violations.push_back(
+            "replica " + std::to_string(p) +
+            ": driver missed a committed stage transition");
       }
     }
 

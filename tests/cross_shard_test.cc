@@ -11,6 +11,10 @@
 //     prepare to commit; survivors settle and conserve;
 //   * migration during partition — the majority side completes both
 //     ownership barriers; the minority catches up after heal;
+//   * reaction completeness — the 2PC driver reads only the txids each
+//     applied block carries, so every targeted test also checks that no
+//     committed stage transition went unreacted (ShardAudit::
+//     reactions_complete, re-derived over every record);
 //   * THE criterion — byte-identical per-group histories across replay
 //     threads {1, 2, 8} × all 5 fault profiles, plus run-twice
 //     reproducibility, through the erc20_zipfian_shards scenario.
@@ -94,6 +98,19 @@ struct Cluster {
       EXPECT_LE(owners[a], 1u) << "account " << a << " on replica " << p;
     }
   }
+
+  /// Every tx record on each `correct` replica carries the stage its
+  /// driver last reacted to — the touched-txid invariant the driver's
+  /// per-block reaction pass relies on (net/shard_group.h).  It holds
+  /// between any two events, not only at quiescence: the driver reacts
+  /// synchronously after each block applies.
+  void expect_reactions_complete(const std::vector<bool>& correct) {
+    for (ProcessId p = 0; p < kReplicas; ++p) {
+      if (correct[p]) {
+        EXPECT_TRUE(nodes[p]->audit().reactions_complete) << "replica " << p;
+      }
+    }
+  }
 };
 
 const std::vector<bool> kAllCorrect(kReplicas, true);
@@ -145,6 +162,7 @@ TEST(CrossShard, AbortPathRefundsTheLockedDebit) {
   EXPECT_EQ(a.cross_done, 0u);
   EXPECT_EQ(a.cross_aborted, 1u);
   EXPECT_TRUE(a.quiescent);
+  c.expect_reactions_complete(kAllCorrect);
 }
 
 TEST(CrossShard, CoordinatorCrashBackupsDriveTheCommit) {
@@ -171,6 +189,9 @@ TEST(CrossShard, CoordinatorCrashBackupsDriveTheCommit) {
   const ShardAudit a = c.nodes[0]->audit();
   EXPECT_EQ(a.cross_done, 1u);
   EXPECT_TRUE(a.quiescent);
+  // Backups can land several phase ops for one txid in one block; the
+  // driver must still see each committed stage once.
+  c.expect_reactions_complete(correct);
   EXPECT_EQ(c.nodes[0]->history(), c.nodes[1]->history());
   EXPECT_EQ(c.nodes[0]->history(), c.nodes[2]->history());
 }
@@ -196,6 +217,7 @@ TEST(CrossShard, MigrationDuringPartitionHealsEverywhere) {
     EXPECT_EQ(g1.balances[0], kInitial) << p;
   }
   EXPECT_EQ(c.nodes[0]->audit().migrations, 1u);
+  c.expect_reactions_complete(kAllCorrect);
   EXPECT_EQ(c.nodes[0]->history(), c.nodes[3]->history());
 }
 
@@ -222,6 +244,7 @@ TEST(CrossShard, MigrationRefusedWhileDebitLocked) {
   // the migration won (the late prepare is refused — account 0 no
   // longer owned by group 0 — and locks nothing).
   EXPECT_LE(a.cross_done + a.cross_aborted, 1u);
+  c.expect_reactions_complete(kAllCorrect);
   std::size_t records = 0;
   for (std::uint32_t g = 0; g < 2; ++g) {
     records += c.nodes[0]->group_state(g).txs.size();
@@ -247,6 +270,7 @@ TEST(CrossShard, AtomicityHoldsMidRun) {
   for (int burst = 0; burst < 40; ++burst) {
     c.net.run(5'000);
     for (ProcessId p = 0; p < kReplicas; ++p) c.expect_atomic(p);
+    c.expect_reactions_complete(kAllCorrect);
   }
   c.drain(kAllCorrect);
   for (ProcessId p = 0; p < kReplicas; ++p) {
@@ -272,6 +296,10 @@ ScenarioConfig shard_cfg(FaultProfile f, std::uint32_t groups,
   return cfg;
 }
 
+/// The harness audit covers reaction completeness too: ShardHarness::
+/// finish records "driver missed a committed stage transition" for any
+/// correct replica whose ShardAudit::reactions_complete is false, so the
+/// violation loop below fails on it.
 void expect_ok(const ScenarioReport& rep) {
   EXPECT_TRUE(rep.agreement) << rep.summary();
   EXPECT_TRUE(rep.conservation) << rep.summary();

@@ -1,7 +1,8 @@
 // ConcurrentLedger<Spec> semantics: single-threaded equivalence with the
 // sequential specifications (the refactor's "one source of truth"
 // invariant) for all three token instantiations, batch-path correctness,
-// and multi-threaded conservation across the shard spectrum.
+// the exclusive (lock-free) path against the locked one, and
+// multi-threaded conservation across the shard spectrum.
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -10,9 +11,65 @@
 #include "atomic/ledger_specs.h"
 #include "atomic/tokens.h"
 #include "common/rng.h"
+#include "net/shard_group.h"
 
 namespace tokensync {
 namespace {
+
+// Seeded random op generators shared by the equivalence tests below.
+
+Erc20Op random_erc20_op(Rng& rng, std::size_t n) {
+  const AccountId a = static_cast<AccountId>(rng.below(n));
+  const AccountId b = static_cast<AccountId>(rng.below(n));
+  switch (rng.below(6)) {
+    case 0: return Erc20Op::transfer(a, rng.below(30));
+    case 1: return Erc20Op::transfer_from(a, b, rng.below(30));
+    case 2: return Erc20Op::approve(static_cast<ProcessId>(b),
+                                    rng.below(40));
+    case 3: return Erc20Op::balance_of(a);
+    case 4: return Erc20Op::allowance(a, static_cast<ProcessId>(b));
+    default: return Erc20Op::total_supply();
+  }
+}
+
+Erc721Op random_erc721_op(Rng& rng, std::size_t n, std::size_t tokens) {
+  const TokenId t = static_cast<TokenId>(rng.below(tokens));
+  const AccountId a = static_cast<AccountId>(rng.below(n));
+  const AccountId b = static_cast<AccountId>(rng.below(n));
+  switch (rng.below(6)) {
+    case 0: return Erc721Op::transfer_from(a, b, t);
+    case 1: return Erc721Op::approve(static_cast<ProcessId>(b), t);
+    case 2: return Erc721Op::set_approval_for_all(
+                static_cast<ProcessId>(b), rng.below(2) == 0);
+    case 3: return Erc721Op::owner_of(t);
+    case 4: return Erc721Op::get_approved(t);
+    default: return Erc721Op::is_approved_for_all(
+                a, static_cast<ProcessId>(b));
+  }
+}
+
+/// Every ShardOp kind — intra transfers and reads, the whole-state 2PC
+/// phase and migration barriers — over a small txid range, so phase ops
+/// land on existing records (the idempotent and refused paths) as often
+/// as they create new ones.  Accounts reach one past the keyspace to
+/// cover the out-of-range guards.
+ShardOp random_shard_op(Rng& rng, std::size_t n) {
+  const AccountId a = static_cast<AccountId>(rng.below(n + 1));
+  const AccountId b = static_cast<AccountId>(rng.below(n + 1));
+  const Amount v = rng.below(60);
+  const std::uint64_t txid = rng.below(24);
+  switch (rng.below(9)) {
+    case 0: return ShardOp::transfer(a, b, v);
+    case 1: return ShardOp::balance_of(a);
+    case 2: return ShardOp::prepare(txid, a, b, v, 0, 1);
+    case 3: return ShardOp::commit(txid, a, b, v, 1, 0);
+    case 4: return ShardOp::commit_ack(txid, a, 0, 1);
+    case 5: return ShardOp::abort(txid, a, 0, 1);
+    case 6: return ShardOp::migrate_out(txid, a, 0, 1);
+    case 7: return ShardOp::migrate_in(txid, a, v, 1, 0);
+    default: return ShardOp::migrate_ack(txid, a, 0, 1);
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Single-threaded equivalence: every response and the final state match
@@ -27,18 +84,7 @@ TEST(LedgerEquivalence, Erc20MatchesSeqSpec) {
 
     for (int i = 0; i < 3000; ++i) {
       const ProcessId c = static_cast<ProcessId>(rng.below(n));
-      const AccountId a = static_cast<AccountId>(rng.below(n));
-      const AccountId b = static_cast<AccountId>(rng.below(n));
-      Erc20Op op;
-      switch (rng.below(6)) {
-        case 0: op = Erc20Op::transfer(a, rng.below(30)); break;
-        case 1: op = Erc20Op::transfer_from(a, b, rng.below(30)); break;
-        case 2: op = Erc20Op::approve(static_cast<ProcessId>(b),
-                                      rng.below(40)); break;
-        case 3: op = Erc20Op::balance_of(a); break;
-        case 4: op = Erc20Op::allowance(a, static_cast<ProcessId>(b)); break;
-        default: op = Erc20Op::total_supply(); break;
-      }
+      const Erc20Op op = random_erc20_op(rng, n);
       auto [resp, next] = Erc20Spec::apply(oracle, c, op);
       oracle = next;
       EXPECT_EQ(ledger.apply(c, op), resp) << "op " << op.to_string();
@@ -56,20 +102,7 @@ TEST(LedgerEquivalence, Erc721MatchesSeqSpec) {
 
     for (int i = 0; i < 3000; ++i) {
       const ProcessId c = static_cast<ProcessId>(rng.below(n));
-      const TokenId t = static_cast<TokenId>(rng.below(6));
-      const AccountId a = static_cast<AccountId>(rng.below(n));
-      const AccountId b = static_cast<AccountId>(rng.below(n));
-      Erc721Op op;
-      switch (rng.below(6)) {
-        case 0: op = Erc721Op::transfer_from(a, b, t); break;
-        case 1: op = Erc721Op::approve(static_cast<ProcessId>(b), t); break;
-        case 2: op = Erc721Op::set_approval_for_all(
-                    static_cast<ProcessId>(b), rng.below(2) == 0); break;
-        case 3: op = Erc721Op::owner_of(t); break;
-        case 4: op = Erc721Op::get_approved(t); break;
-        default: op = Erc721Op::is_approved_for_all(
-                    a, static_cast<ProcessId>(b)); break;
-      }
+      const Erc721Op op = random_erc721_op(rng, n, 6);
       auto [resp, next] = Erc721Spec::apply(oracle, c, op);
       oracle = next;
       EXPECT_EQ(ledger.apply(c, op), resp) << "op " << op.to_string();
@@ -107,6 +140,52 @@ TEST(LedgerEquivalence, Erc777MatchesSeqSpec) {
     }
     EXPECT_EQ(ledger.snapshot(), oracle);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Exclusive path: apply_exclusive() — the executor's lock-free sequential
+// lane — returns the same response as the locked apply() for every op of
+// a seeded random sequence, and both ledgers end in the same snapshot().
+// ERC721 exercises state-dependent σ (the locked path's revalidation
+// loop); the shard spec exercises the whole-state (set_all) phase and
+// migration barriers.
+// ---------------------------------------------------------------------------
+template <typename Spec, typename NextOp>
+void expect_exclusive_matches_locked(const typename Spec::SeqState& initial,
+                                     std::size_t callers, NextOp next_op) {
+  for (const std::size_t shards : {1u, 3u, 0u}) {
+    Rng rng(61 + shards);
+    ConcurrentLedger<Spec> locked(initial, 0, shards);
+    ConcurrentLedger<Spec> exclusive(initial, 0, shards);
+    for (int i = 0; i < 3000; ++i) {
+      const ProcessId c = static_cast<ProcessId>(rng.below(callers));
+      const auto op = next_op(rng);
+      EXPECT_EQ(exclusive.apply_exclusive(c, op), locked.apply(c, op))
+          << "shards " << shards << " op " << i << " " << op.to_string();
+    }
+    EXPECT_EQ(exclusive.snapshot(), locked.snapshot()) << "shards " << shards;
+  }
+}
+
+TEST(LedgerExclusive, Erc20MatchesLockedApply) {
+  const std::size_t n = 5;
+  expect_exclusive_matches_locked<Erc20LedgerSpec>(
+      Erc20State(n, 0, 64), n,
+      [n](Rng& rng) { return random_erc20_op(rng, n); });
+}
+
+TEST(LedgerExclusive, Erc721MatchesLockedApply) {
+  const std::size_t n = 4;
+  expect_exclusive_matches_locked<Erc721LedgerSpec>(
+      Erc721State(n, {0, 1, 2, 3, 0, 1}), n,
+      [n](Rng& rng) { return random_erc721_op(rng, n, 6); });
+}
+
+TEST(LedgerExclusive, ShardSpecPhaseAndMigrationOpsMatchLockedApply) {
+  const std::size_t n = 8;
+  expect_exclusive_matches_locked<ShardLedgerSpec>(
+      ShardState::initial(0, 2, n, 100), 4,
+      [n](Rng& rng) { return random_shard_op(rng, n); });
 }
 
 // ---------------------------------------------------------------------------
