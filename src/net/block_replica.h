@@ -43,12 +43,12 @@
 // stream, common/wire.h), so the consensus schedule does not depend on
 // the relay mode at all — that is the mode-invariance argument.
 //
-// Interface-compatible with ReplicaNode for the scenario audits
-// (history / submitted / all_settled / commit_latencies / log), with
-// op-granular accounting on top: submitted() counts OPERATIONS (the unit
-// the settlement audit cares about), blocks_submitted() the consensus
-// payloads they were batched into.  The log / history / latency
-// plumbing lives once in ReplicaCore (net/replica_core.h).
+// Presents the scenario harness's runtime surface (ReplicaRuntime in
+// sched/scenario.h) with op-granular accounting: submitted() counts
+// OPERATIONS (the unit the settlement audit cares about),
+// blocks_submitted() the consensus payloads they were batched into.  The
+// log / history / latency plumbing lives once in ReplicaCore
+// (net/replica_core.h).
 // Recovery (DESIGN.md §13, the ISSUE 7 tentpole): behind RecoveryConfig
 // the node cuts a Snapshot<S> at every interval-th slot boundary,
 // gossips durable-snapshot marks, truncates the consensus log below the
@@ -243,14 +243,20 @@ class BlockReplicaNode {
 
   const ReplayEngine<S>& engine() const noexcept { return *engine_; }
   std::size_t blocks_submitted() const noexcept { return core_.submitted(); }
-  std::size_t blocks_committed() const noexcept { return core_.log().size(); }
+  std::size_t slots_committed() const noexcept { return core_.log().size(); }
   std::size_t ops_committed() const noexcept { return engine_->ops_applied(); }
+  std::uint64_t last_commit_time() const noexcept {
+    return core_.last_commit_time();
+  }
   const BlockBuilder<S>& builder() const noexcept { return builder_; }
 
   // --- relay accounting / test hooks ---
 
   RelayMode relay_mode() const noexcept { return relay_mode_; }
   const Relay& relay() const noexcept { return relay_; }
+  std::uint64_t miss_recoveries() const noexcept {
+    return relay_.miss_recoveries();
+  }
   /// Consensus-value bytes of the slots committed here (numerator of the
   /// per-slot proposal bytes metric).
   std::uint64_t proposal_bytes() const noexcept { return proposal_bytes_; }

@@ -166,13 +166,6 @@ struct HybridConfig {
   /// ignored) — the all-Paxos baseline the benchmarks compare the lane
   /// split against (same script, same network, zero fast commits).
   bool force_consensus = false;
-  /// Slow-lane size cut (DESIGN.md §16): consensus-class ops buffered
-  /// into one SUB-BLOCK per SlowCmd proposal, amortizing the Paxos slot
-  /// and the frontier vector over the batch.  1 = today's
-  /// one-command-per-slot baseline (no buffering, byte-identical wire
-  /// and history); a partial sub-block never waits longer than
-  /// `erb_deadline` for its cut.
-  std::size_t slow_subblock_ops = 1;
   /// Which broadcast primitive backs the fast lane: crash-tolerant ERB
   /// (default) or Byzantine-tolerant Bracha with equivocation detection
   /// (DESIGN.md §15).
@@ -216,25 +209,9 @@ class HybridReplicaNode {
     std::vector<std::uint64_t> frontier;
     bool compact = false;
     OpId id = 0;
-    /// Sub-block form (HybridConfig::slow_subblock_ops > 1): the
-    /// buffered consensus-class run rides as ONE proposal.  Each op
-    /// keeps its own caller and signature (unlike a FastBatch, the run
-    /// spans callers).  Empty in the one-op baseline — the wire image
-    /// and equality are then exactly the pre-sub-block ones.
-    std::vector<BatchOp> batch;
-    /// Compact sub-block form: the ops stay home on the relay lane and
-    /// only their 8-byte ids ride the decided value; `id` is the fetch
-    /// correlation key for the whole sub-block.
-    std::vector<OpId> batch_ids;
 
     std::uint64_t wire_size() const {
       const std::uint64_t common = 8 + 8 * frontier.size();
-      if (!batch.empty() || !batch_ids.empty()) {
-        if (compact) return common + 8 + 8 + 8 * batch_ids.size();
-        std::uint64_t bytes = common + 8;
-        for (const BatchOp& b : batch) bytes += b.wire_size();
-        return bytes;
-      }
       return compact ? common + 8
                      : common + 4 + wire_size_of(op) + kOpAuthBytes;
     }
@@ -286,7 +263,6 @@ class HybridReplicaNode {
                        install_proof(proof);
                      }) {
     TS_EXPECTS(cfg_.erb_batch >= 1);
-    TS_EXPECTS(cfg_.slow_subblock_ops >= 1);
   }
 
   HybridReplicaNode(const HybridReplicaNode&) = delete;
@@ -319,22 +295,6 @@ class HybridReplicaNode {
         net_.call_at(self_, cfg_.erb_deadline, [this] {
           fast_timer_armed_ = false;
           if (!fast_buf_.empty()) flush_fast();
-        });
-      }
-    } else if (cfg_.slow_subblock_ops > 1) {
-      // Sub-block intake (DESIGN.md §16): the §10 cut rule on the
-      // consensus lane.  The op's latency window opens NOW and closes
-      // at its barrier apply, so the cut wait is part of the measured
-      // cost of slow-lane batching — same trade the fast lane reports.
-      core_.start_latency(slow_key(slow_ops_submitted_++), net_.now());
-      slow_buf_.push_back(BatchOp{caller, std::move(op)});
-      if (slow_buf_.size() >= cfg_.slow_subblock_ops) {
-        flush_slow();
-      } else if (!slow_timer_armed_) {
-        slow_timer_armed_ = true;
-        net_.call_at(self_, cfg_.erb_deadline, [this] {
-          slow_timer_armed_ = false;
-          if (!slow_buf_.empty()) flush_slow();
         });
       }
     } else {
@@ -380,6 +340,9 @@ class HybridReplicaNode {
   std::size_t submitted() const noexcept { return core_.submitted(); }
   std::string history() const { return core_.history(); }
   const std::vector<Entry>& log() const noexcept { return core_.log(); }
+  std::uint64_t last_commit_time() const noexcept {
+    return core_.last_commit_time();
+  }
   const std::vector<std::uint64_t>& commit_latencies() const noexcept {
     return core_.commit_latencies();
   }
@@ -390,7 +353,7 @@ class HybridReplicaNode {
   /// (which implies finalize() ran if any fast op was submitted).
   bool all_settled() const noexcept {
     return tob_.all_settled() && barrier_queue_.empty() &&
-           fast_buf_.empty() && slow_buf_.empty() &&
+           fast_buf_.empty() &&
            applied_[self_] == fast_batches_submitted_;
   }
 
@@ -398,7 +361,9 @@ class HybridReplicaNode {
 
   const ReplayEngine<S>& engine() const noexcept { return *engine_; }
   /// Consensus slots committed here (each = one barrier block).
-  std::size_t consensus_slots() const noexcept { return slots_committed_; }
+  std::size_t slots_committed() const noexcept { return slots_committed_; }
+  /// Ops applied here, both lanes.
+  std::size_t ops_committed() const noexcept { return engine_->ops_applied(); }
   /// Fast-lane ops applied here (inside barrier epochs + terminal epoch).
   std::size_t fast_lane_ops() const noexcept { return fast_lane_ops_; }
   std::size_t fast_submitted() const noexcept { return fast_ops_submitted_; }
@@ -432,6 +397,9 @@ class HybridReplicaNode {
 
   RelayMode relay_mode() const noexcept { return cfg_.relay_mode; }
   const Relay& relay() const noexcept { return relay_; }
+  std::uint64_t miss_recoveries() const noexcept {
+    return relay_.miss_recoveries();
+  }
   /// Consensus-value bytes of the slots committed here.
   std::uint64_t proposal_bytes() const noexcept { return proposal_bytes_; }
 
@@ -491,36 +459,6 @@ class HybridReplicaNode {
     TS_ASSERT(seq == fast_batches_submitted_ - 1);
   }
 
-  /// Slow-lane size/deadline cut: the buffered consensus-class run
-  /// becomes ONE SlowCmd sub-block.  The frontier is read HERE — the
-  /// barrier cut reflects the proposer's delivery state at proposal
-  /// time, exactly like the one-op path reads it at submit.  Under
-  /// compact relay every op is announced individually (each carries its
-  /// own signature) and the decided value ships only the id vector.
-  void flush_slow() {
-    SlowCmd c;
-    c.frontier = delivered_;
-    if (cfg_.relay_mode == RelayMode::kCompact) {
-      c.compact = true;
-      c.id = make_op_id(self_, slow_proposed_++);
-      std::vector<TaggedOp<BatchOp>> tagged;
-      tagged.reserve(slow_buf_.size());
-      for (BatchOp& b : slow_buf_) {
-        const OpId id = make_op_id(self_, slow_proposed_++);
-        c.batch_ids.push_back(id);
-        tagged.push_back(TaggedOp<BatchOp>{id, std::move(b)});
-      }
-      relay_.announce(tagged);
-      slow_buf_.clear();
-    } else {
-      c.batch = std::move(slow_buf_);
-      slow_buf_.clear();
-    }
-    // No per-proposal latency window: the buffered ops' windows are
-    // already open (submit) and close one by one at the barrier apply.
-    tob_.broadcast(std::move(c));
-  }
-
   void on_fast_deliver(ProcessId origin, std::uint64_t seq,
                        const FastBatch& b) {
     TS_ASSERT(seq == delivered_[origin]);  // per-sender FIFO, both lanes
@@ -570,66 +508,27 @@ class HybridReplicaNode {
       for (ProcessId o = 0; o < delivered_.size(); ++o) {
         if (delivered_[o] < head.cmd.frontier[o]) return;  // park: frontier
       }
-      const bool subblock =
-          !head.cmd.batch.empty() || !head.cmd.batch_ids.empty();
       const BatchOp* slow_op = nullptr;
       if (head.cmd.compact) {
-        if (subblock) {
-          std::vector<OpId> missing;
-          for (const OpId id : head.cmd.batch_ids) {
-            if (!relay_.find(id)) missing.push_back(id);
-          }
-          if (!missing.empty()) {  // park: sub-block payloads in flight
-            relay_.fetch(head.cmd.id, head.origin, missing,
-                         head.cmd.batch_ids);
-            return;
-          }
-        } else {
-          slow_op = relay_.find(head.cmd.id);
-          if (!slow_op) {  // park: payload in flight (recover-on-miss)
-            relay_.fetch(head.cmd.id, head.origin, {head.cmd.id},
-                         {head.cmd.id});
-            return;
-          }
+        slow_op = relay_.find(head.cmd.id);
+        if (!slow_op) {  // park: payload in flight (recover-on-miss)
+          relay_.fetch(head.cmd.id, head.origin, {head.cmd.id},
+                       {head.cmd.id});
+          return;
         }
       }
       Blk blk = cut_epoch(head.cmd.frontier);
       fast_lane_ops_ += blk.size();
-      std::size_t own_slow_ops = 0;
-      if (subblock) {
-        // The sub-block unrolls in submission order inside the barrier
-        // epoch — one engine apply for fast cut + whole sub-block.
-        if (head.cmd.compact) {
-          for (const OpId id : head.cmd.batch_ids) {
-            blk.ops.push_back(*relay_.find(id));
-          }
-          own_slow_ops = head.cmd.batch_ids.size();
-        } else {
-          for (const BatchOp& b : head.cmd.batch) blk.ops.push_back(b);
-          own_slow_ops = head.cmd.batch.size();
-        }
-      } else {
-        blk.ops.push_back(head.cmd.compact
-                              ? *slow_op
-                              : BatchOp{head.cmd.caller, head.cmd.op});
-      }
+      blk.ops.push_back(head.cmd.compact
+                            ? *slow_op
+                            : BatchOp{head.cmd.caller, head.cmd.op});
       if (head.cmd.compact) relay_.cancel(head.cmd.id);
       proposal_bytes_ += wire_size_of(head.cmd);
       core_.append(head.slot, head.origin, net_.now(),
                    engine_->apply(blk));
       ++slots_committed_;
       if (head.origin == self_) {
-        if (subblock) {
-          // Own sub-blocks commit in nonce order (TotalOrderBcast
-          // proposes pending nonces sequentially), so the buffered ops'
-          // windows close in the same order they opened.
-          for (std::size_t i = 0; i < own_slow_ops; ++i) {
-            core_.finish_latency(slow_key(slow_ops_finished_++),
-                                 net_.now());
-          }
-        } else {
-          core_.finish_latency(slow_key(head.nonce), net_.now());
-        }
+        core_.finish_latency(slow_key(head.nonce), net_.now());
       }
       barrier_queue_.pop_front();
     }
@@ -683,10 +582,6 @@ class HybridReplicaNode {
   ReplicaCore core_;
   std::vector<Op> fast_buf_;  ///< own fast ops awaiting their cut
   bool fast_timer_armed_ = false;
-  std::vector<BatchOp> slow_buf_;  ///< own slow ops awaiting their cut
-  bool slow_timer_armed_ = false;
-  std::size_t slow_ops_submitted_ = 0;  ///< sub-block latency keys (intake)
-  std::size_t slow_ops_finished_ = 0;   ///< sub-block latency keys (apply)
   std::size_t fast_ops_submitted_ = 0;
   std::size_t fast_ops_finished_ = 0;
   std::size_t fast_batches_submitted_ = 0;

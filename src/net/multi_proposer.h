@@ -393,6 +393,9 @@ class MultiProposerNode {
   bool is_proposer() const noexcept { return self_ < num_proposers_; }
   std::size_t slots_committed() const noexcept { return core_.log().size(); }
   std::size_t ops_committed() const noexcept { return engine_->ops_applied(); }
+  std::uint64_t last_commit_time() const noexcept {
+    return core_.last_commit_time();
+  }
   /// Reference proposals this node broadcast.
   std::size_t proposals_sent() const noexcept { return core_.submitted(); }
   /// Consensus-value bytes of the slots committed here.
@@ -412,6 +415,9 @@ class MultiProposerNode {
   std::uint64_t dup_ops_dropped() const noexcept { return dup_ops_dropped_; }
 
   const Exchange& exchange() const noexcept { return exchange_; }
+  std::uint64_t miss_recoveries() const noexcept {
+    return exchange_.miss_recoveries();
+  }
   /// Test hook: suppress publishing so every peer misses every
   /// sub-block and reconstruction must go through kGetSubs.
   void set_publish_enabled(bool enabled) {
@@ -514,7 +520,7 @@ class MultiProposerNode {
     // the primary itself always proposes (it IS the live stream), and
     // once commits stop flowing for a window, anyone covers.
     if (!is_current_primary() &&
-        net_.now() < last_commit_time_ + cfg_.propose_backup_after) {
+        net_.now() < last_decided_at_ + cfg_.propose_backup_after) {
       maybe_arm_propose();
       return;
     }
@@ -527,7 +533,7 @@ class MultiProposerNode {
     for (const SubBlockRef& r : v.refs) {
       known_committed_.insert(r.block_id);
     }
-    last_commit_time_ = net_.now();
+    last_decided_at_ = net_.now();
     if (origin == self_) proposal_outstanding_ = false;
     parked_.push_back(Parked{slot, origin, v});
     try_apply();
@@ -622,7 +628,7 @@ class MultiProposerNode {
   bool propose_timer_pending_ = false;
   std::uint64_t propose_timer_at_ = 0;
   std::uint64_t propose_gen_ = 0;
-  std::uint64_t last_commit_time_ = 0;
+  std::uint64_t last_decided_at_ = 0;  ///< newest decision seen (pacing)
   std::size_t ops_submitted_ = 0;
   std::uint64_t proposal_bytes_ = 0;
   std::uint64_t subblocks_applied_ = 0;

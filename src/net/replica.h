@@ -120,6 +120,12 @@ class ReplicaNode {
   const std::vector<Entry>& log() const noexcept { return core_.log(); }
   std::size_t submitted() const noexcept { return core_.submitted(); }
   bool all_settled() const noexcept { return tob_.all_settled(); }
+  /// One command per slot, so slots and ops committed are both the log.
+  std::size_t slots_committed() const noexcept { return core_.log().size(); }
+  std::size_t ops_committed() const noexcept { return core_.log().size(); }
+  std::uint64_t last_commit_time() const noexcept {
+    return core_.last_commit_time();
+  }
 
   /// Commit latencies (simulated time, submit -> local commit) of this
   /// replica's own submissions.

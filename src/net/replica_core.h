@@ -55,6 +55,10 @@ class ReplicaCore {
   }
 
   const std::vector<Entry>& log() const noexcept { return log_; }
+  /// Local time of the newest commit (0 before the first).
+  std::uint64_t last_commit_time() const noexcept {
+    return log_.empty() ? 0 : log_.back().time;
+  }
 
   /// Canonical committed history: identical bytes on every replica with
   /// the same committed prefix (the determinism / agreement test

@@ -785,12 +785,16 @@ class ShardedReplicaNode {
         self_, ShardOp::migrate_out(next_txid(), account, gs, to_group));
   }
 
-  /// Deadline tick / anti-entropy: forwarded to every group lane.
+  /// Deadline tick: forwarded to every group lane.
   void on_deadline() {
     for (auto& g : groups_) g->on_deadline();
   }
+  /// Anti-entropy, then a cut of every group's pool: the 2PC driver
+  /// submits follow-ups from timers that fire inside a drain, after the
+  /// deadline ticks end, and a pooled op only proposes on a cut.
   void sync() {
     for (auto& g : groups_) g->sync();
+    on_deadline();
   }
 
   // --- the scenario-audit surface ---
@@ -821,6 +825,15 @@ class ShardedReplicaNode {
   std::string group_history(std::uint32_t g) const {
     return groups_.at(g)->history();
   }
+  /// The crashed-replica rule: a crash stops every group's log
+  /// independently, so the concatenation is no prefix of the reference's
+  /// — each group's history must be a prefix of the reference's group.
+  bool history_prefix_of(const ShardedReplicaNode& ref) const {
+    for (std::uint32_t g = 0; g < groups_.size(); ++g) {
+      if (!ref.group_history(g).starts_with(group_history(g))) return false;
+    }
+    return true;
+  }
   std::vector<std::uint64_t> commit_latencies() const {
     std::vector<std::uint64_t> all;
     for (const auto& g : groups_) {
@@ -831,9 +844,7 @@ class ShardedReplicaNode {
   }
   std::uint64_t last_commit_time() const {
     std::uint64_t t = 0;
-    for (const auto& g : groups_) {
-      if (!g->log().empty()) t = std::max(t, g->log().back().time);
-    }
+    for (const auto& g : groups_) t = std::max(t, g->last_commit_time());
     return t;
   }
 
@@ -858,17 +869,22 @@ class ShardedReplicaNode {
   }
   std::size_t slots_committed() const {
     std::size_t sum = 0;
-    for (const auto& g : groups_) sum += g->blocks_committed();
+    for (const auto& g : groups_) sum += g->slots_committed();
     return sum;
   }
   std::size_t max_group_slots() const {
     std::size_t mx = 0;
-    for (const auto& g : groups_) mx = std::max(mx, g->blocks_committed());
+    for (const auto& g : groups_) mx = std::max(mx, g->slots_committed());
     return mx;
   }
   std::uint64_t proposal_bytes() const {
     std::uint64_t sum = 0;
     for (const auto& g : groups_) sum += g->proposal_bytes();
+    return sum;
+  }
+  std::uint64_t miss_recoveries() const {
+    std::uint64_t sum = 0;
+    for (const auto& g : groups_) sum += g->miss_recoveries();
     return sum;
   }
 

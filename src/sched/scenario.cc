@@ -1,12 +1,12 @@
-// Scenario driver implementation: the named workload scripts, the fault
-// harness plumbing, and the committed-history audits.  See scenario.h for
-// the model.
+// Scenario driver implementation: the named workload scripts, each replica
+// runtime's additions to ClusterHarness's audit, and the audits of the
+// runtimes that do not ride it.  See scenario.h for the model.
 #include "sched/scenario.h"
 
 #include <cstdio>
 #include <numeric>
-#include <type_traits>
 #include <utility>
+#include <variant>
 
 #include "atbcast/at_bcast.h"
 #include "common/rng.h"
@@ -82,7 +82,7 @@ std::vector<bool> correct_mask(std::size_t n, FaultProfile f) {
   }
   // kCrashRejoin: the crashed replica REJOINS and must fully converge,
   // so it stays in the correct set; its suffix-based agreement audit
-  // lives in the block harness (scenario.h's FaultProfile comment).
+  // lives in the block runtime's extras (scenario.cc's block_extras).
   return correct;
 }
 
@@ -148,57 +148,291 @@ std::string ScenarioReport::summary() const {
 namespace {
 
 // -------------------------------------------------------------------------
-// Replicated-ledger harness: ReplicaNode<LedgerSM<Spec>> cluster + audit.
+// Script helpers: the checks and literals the workload scripts share.
+// -------------------------------------------------------------------------
+
+/// The supply check: the token supply equals `expected`.
+auto supply_is(Amount expected) {
+  return [expected](const auto& q) -> std::optional<std::string> {
+    if (q.total_supply() == expected) return std::nullopt;
+    return "supply " + std::to_string(q.total_supply()) +
+           " != " + std::to_string(expected);
+  };
+}
+
+/// The ERC721 owner check: still `tokens` tokens, each owned by one of
+/// the `accounts` accounts.
+auto owners_valid(std::size_t accounts, std::size_t tokens) {
+  return [accounts, tokens](const Erc721State& q)
+             -> std::optional<std::string> {
+    if (q.num_tokens() != tokens) {
+      return "token count changed: " + std::to_string(q.num_tokens());
+    }
+    for (TokenId t = 0; t < tokens; ++t) {
+      if (q.owner_of(t) >= accounts) {
+        return "token " + std::to_string(t) + " owned by invalid account " +
+               std::to_string(q.owner_of(t));
+      }
+    }
+    return std::nullopt;
+  };
+}
+
+/// `accounts` ERC20 accounts holding `balance` each, with every pairwise
+/// allowance set to `allowance`.
+Erc20State erc20_initial(std::size_t accounts, Amount balance,
+                         Amount allowance) {
+  return Erc20State(std::vector<Amount>(accounts, balance),
+                    std::vector<std::vector<Amount>>(
+                        accounts, std::vector<Amount>(accounts, allowance)));
+}
+
+/// One op of the storm mix over `accounts` accounts: mostly commuting
+/// transfers, 4/40 transferFrom, 3/40 approve and a 1/40 totalSupply
+/// barrier (the escalation lane inside a block).
+Erc20Ledger::BatchOp storm_op(Rng& rng, std::size_t accounts) {
+  const auto caller = static_cast<ProcessId>(rng.below(accounts));
+  const auto dst = static_cast<AccountId>(rng.below(accounts));
+  const auto roll = rng.below(40);
+  if (roll == 0) return {caller, Erc20Op::total_supply()};
+  if (roll < 4) {
+    return {caller, Erc20Op::approve(static_cast<ProcessId>(dst), 2)};
+  }
+  if (roll < 8) {
+    return {caller, Erc20Op::transfer_from(
+                        static_cast<AccountId>(rng.below(accounts)), dst, 1)};
+  }
+  return {caller, Erc20Op::transfer(dst, 1 + rng.below(3))};
+}
+
+ExecOptions exec_options(const ScenarioConfig& cfg) {
+  return ExecOptions{.threads = cfg.replay_threads};
+}
+
+BlockConfig block_config(const ScenarioConfig& cfg) {
+  return BlockConfig{.max_ops = cfg.block_max_ops,
+                     .deadline = cfg.block_deadline,
+                     .pipeline_window = cfg.block_window};
+}
+
+RecoveryConfig recovery_config(const ScenarioConfig& cfg) {
+  return RecoveryConfig{.snapshot_interval = cfg.snapshot_interval,
+                        .prune = cfg.prune};
+}
+
+HybridConfig hybrid_config(const ScenarioConfig& cfg) {
+  return HybridConfig{.relay_mode = cfg.relay_mode,
+                      .erb_batch = cfg.erb_batch,
+                      .force_consensus = cfg.hybrid_force_consensus,
+                      .fast_lane = cfg.fast_lane};
+}
+
+// -------------------------------------------------------------------------
+// Per-runtime extras: what one runtime adds to ClusterHarness::finish's
+// shared audit (scenario.h), and what it arms right after construction.
 // -------------------------------------------------------------------------
 
 template <typename Spec>
-class LedgerHarness {
- public:
-  using SM = LedgerSM<Spec>;
-  using Node = ReplicaNode<SM>;
+using LedgerCluster = ClusterHarness<ReplicaNode<LedgerSM<Spec>>>;
+template <typename Spec>
+using BlockCluster = ClusterHarness<BlockReplicaNode<Spec>>;
+using MultiProposerCluster =
+    ClusterHarness<MultiProposerNode<Erc20LedgerSpec>>;
+using HybridCluster = ClusterHarness<HybridReplicaNode<Erc20LedgerSpec>>;
+using ShardCluster = ClusterHarness<ShardedReplicaNode>;
 
-  LedgerHarness(const ScenarioConfig& cfg, typename Spec::State initial)
-      : cfg_(cfg),
-        net_(cfg.num_replicas, make_net_config(cfg.fault, cfg.seed)),
-        correct_(correct_mask(cfg.num_replicas, cfg.fault)) {
-    arm_fault_schedule(net_, cfg.fault);
-    for (ProcessId p = 0; p < cfg.num_replicas; ++p) {
-      nodes_.push_back(std::make_unique<Node>(net_, p, SM(initial)));
+/// kCrashRejoin: the last replica crashes mid-run and is rebuilt as a
+/// rejoiner (arm_fault_schedule leaves this profile to the harness —
+/// net-level events cannot reconstruct a node).  The new instance starts
+/// from the INITIAL state with RecoveryConfig::recover set, so its first
+/// act is fetching a snapshot and catching up the log suffix; the old
+/// instance's undecided proposals die with it.
+template <typename Spec>
+void arm_crash_rejoin(BlockCluster<Spec>& h,
+                      const typename Spec::SeqState& initial) {
+  const ScenarioConfig& cfg = h.config();
+  const auto p = static_cast<ProcessId>(cfg.num_replicas - 1);
+  h.arm_rejoin(p, [&h, &cfg, p, initial] {
+    RecoveryConfig rcfg = recovery_config(cfg);
+    rcfg.recover = true;
+    h.replace(p, std::make_unique<BlockReplicaNode<Spec>>(
+                     h.net(), p, initial, block_config(cfg),
+                     exec_options(cfg), cfg.relay_mode, rcfg));
+    if (cfg.rejoin_stale && cfg.snapshot_interval > 0) {
+      // Stale-snapshot variant: the first peer the rejoiner asks
+      // ((p + 1) % n, recovery.h's rotation) serves nothing newer than
+      // the FIRST boundary, so the first install is stale and the
+      // recovery path must supersede it (via the kPruned redirect when
+      // pruning outran the stale boundary, or by replaying the longer
+      // suffix otherwise).
+      h.node((p + 1) % cfg.num_replicas)
+          .recovery()
+          .set_max_served_slot(cfg.snapshot_interval);
+    }
+  });
+}
+
+/// Block runtime: the recovery counters, and the crash-rejoin audit.  The
+/// rejoiner's log STARTS at its snapshot install boundary, so it must
+/// match the reference history's SUFFIX from that boundary byte for
+/// byte, and its installed snapshot hash must equal the reference's
+/// retained hash at the same boundary (same cut of the same committed
+/// prefix, so the same bytes and the same hash).
+template <typename Spec>
+void block_extras(ScenarioReport& rep, const BlockCluster<Spec>& h) {
+  const auto& ref = h.node(h.reference());
+  rep.snapshot_bytes = ref.snapshot_bytes();
+  rep.pruned_slots = ref.pruned_slots();
+  rep.retained_log_bytes = ref.retained_log_bytes();
+  if (!h.rejoiner()) return;
+  const auto& r = h.node(*h.rejoiner());
+  rep.catchup_ops = r.catchup_ops();
+  if (r.recovering() || !r.all_settled()) {
+    rep.settled = false;
+    rep.violations.push_back("rejoiner still recovering or unsettled");
+  }
+  const std::uint64_t at = r.install_slot();
+  if (r.history() != ref.history_from(at)) {
+    rep.agreement = false;
+    rep.violations.push_back(
+        "rejoiner history diverges from the reference suffix at slot " +
+        std::to_string(at));
+  }
+  if (at > 0) {
+    const auto want = ref.recovery().store().hash_at(at);
+    if (!want || *want != r.installed_snapshot_hash()) {
+      rep.agreement = false;
+      rep.violations.push_back(
+          "rejoiner snapshot hash mismatch at boundary " +
+          std::to_string(at));
     }
   }
+}
 
-  void submit_at(ProcessId p, std::uint64_t t, typename Spec::Op op) {
-    Node* node = nodes_[p].get();
-    net_.call_at(p, t, [node, op] { node->submit(op); });
+/// Multi-proposer runtime: the DAG-cut counters.  The dedup counter is a
+/// pure function of the committed reference sequence, so agreement
+/// extends to it.
+void multi_proposer_extras(ScenarioReport& rep,
+                           const MultiProposerCluster& h) {
+  const auto& ref = h.node(h.reference());
+  if (rep.slots > 0) {
+    rep.subblocks_per_slot = static_cast<double>(ref.subblocks_applied()) /
+                             static_cast<double>(rep.slots);
   }
-
-  /// Drains, audits agreement/settlement, fills the report skeleton.
-  /// `conserve` renders a violation for one node's machine state, or
-  /// returns std::nullopt when the invariant holds.  (The shared tail
-  /// lives in scenario.h's drain_cluster / cluster_report /
-  /// audit_conservation — one implementation for all three harnesses.)
-  ScenarioReport finish(
-      const std::function<std::optional<std::string>(const SM&)>& conserve) {
-    const bool quiescent = drain_cluster(net_, nodes_, correct_);
-    const std::size_t ref = reference_replica(correct_);
-    ScenarioReport rep = cluster_report(cfg_, net_, nodes_, correct_,
-                                        nodes_[ref]->log().size());
-    note_quiescence(rep, quiescent);
-    audit_conservation(rep, nodes_, [&conserve](const Node& n) {
-      return conserve(n.machine());
-    });
-    return rep;
+  rep.dup_refs_dropped = ref.dup_refs_dropped();
+  for (std::size_t p = 0; p < h.size(); ++p) {
+    if (h.correct(p) &&
+        h.node(p).dup_refs_dropped() != rep.dup_refs_dropped) {
+      rep.agreement = false;
+      rep.violations.push_back("replica " + std::to_string(p) +
+                               " dup_refs_dropped diverges");
+    }
   }
+}
 
- private:
-  ScenarioConfig cfg_;
-  typename Node::Net net_;
-  std::vector<std::unique_ptr<Node>> nodes_;
-  std::vector<bool> correct_;
-};
+/// Hybrid runtime: the lane and proof counters, and the proof-agreement
+/// audit (DESIGN.md §15): "every correct replica detects the
+/// equivocation" is literal map equality — same keys, byte-identical
+/// canonical proofs.
+void hybrid_extras(ScenarioReport& rep, const HybridCluster& h) {
+  const std::size_t r = h.reference();
+  const auto& ref = h.node(r);
+  rep.fast_lane_ops = ref.fast_lane_ops();
+  rep.conflict_proofs = ref.conflict_proofs().size();
+  rep.quarantined_origins = ref.num_quarantined();
+  rep.equivocation_commits = ref.equivocation_commits();
+  for (std::size_t p = 0; p < h.size(); ++p) {
+    if (!h.correct(p) || p == r) continue;
+    if (h.node(p).conflict_proofs() != ref.conflict_proofs()) {
+      rep.agreement = false;
+      rep.violations.push_back("replica " + std::to_string(p) +
+                               " conflict-proof set diverges");
+    }
+  }
+}
+
+/// Network-level equivocation (DESIGN.md §15.2): the highest-id replicas run
+/// HONEST node code, but SimNet forks their outgoing Bracha SENDs —
+/// exactly one victim receives a conflicting payload for the same
+/// (origin, seq), the classic same-funds-different-recipient respend.
+/// The fork shape is deliberate: the original payload still reaches the
+/// echo quorum through the origin plus the non-victim correct replicas,
+/// so that branch delivers under every fault profile, while the forked
+/// branch (at most one echo) can never assemble a quorum — detection
+/// fires everywhere, delivery never splits.  The forker draws nothing
+/// from the primary Rng stream, so the schedule is untouched.
+void arm_equivocators(HybridCluster& h) {
+  using Node = HybridReplicaNode<Erc20LedgerSpec>;
+  using BMsg = BrachaMsg<Node::FastBatch>;
+  using Msg = Node::Net::MsgType;
+  const std::size_t n = h.config().num_replicas;
+  const std::size_t k = std::min(h.config().num_equivocators, n);
+  for (std::size_t i = 0; i < k; ++i) {
+    const auto e = static_cast<ProcessId>(n - 1 - i);
+    const auto victim = static_cast<ProcessId>((e + 1) % n);
+    h.net().set_equivocator(
+        e, [victim, n](ProcessId to, const Msg& m) -> std::optional<Msg> {
+          if (to != victim) return std::nullopt;
+          const auto* bm = std::get_if<BMsg>(&m);
+          if (!bm || bm->type != BMsg::Type::kSend ||
+              bm->payload.ops.empty() ||
+              bm->payload.ops.front().kind != Erc20Op::Kind::kTransfer) {
+            return std::nullopt;
+          }
+          BMsg fork = *bm;
+          Erc20Op& op = fork.payload.ops.front();
+          op.dst = static_cast<AccountId>((op.dst + 1) % n);
+          return Msg(std::in_place_type<BMsg>, std::move(fork));
+        });
+  }
+}
+
+/// Sharded runtime: global conservation ACROSS groups, on every correct
+/// replica — all protocol records terminal (nothing in flight), every
+/// account owned by exactly one group, and the owned balances summing to
+/// the initial supply; a half-applied cross-shard transfer or a migration
+/// leak breaks one of the three.  The same pass checks that the 2PC
+/// driver reacted to every record's committed stage (ShardAudit::
+/// reactions_complete) — the invariant that lets it read only the txids
+/// each applied block carries.  Then the group and 2PC counters.
+void shard_extras(ScenarioReport& rep, const ShardCluster& h) {
+  const ShardedReplicaNode& ref = h.node(h.reference());
+  const Amount expected = ref.expected_supply();
+  for (std::size_t p = 0; p < h.size(); ++p) {
+    if (!h.correct(p)) continue;
+    const ShardAudit a = h.node(p).audit();
+    const std::string who = "replica " + std::to_string(p);
+    if (!a.quiescent) {
+      rep.conservation = false;
+      rep.violations.push_back(who +
+                               ": transfers still in flight at quiescence");
+    }
+    if (!a.partitioned) {
+      rep.conservation = false;
+      rep.violations.push_back(who + ": account ownership not a partition");
+    }
+    if (a.owned_total != expected) {
+      rep.conservation = false;
+      rep.violations.push_back(who + ": supply " +
+                               std::to_string(a.owned_total) + " != " +
+                               std::to_string(expected));
+    }
+    if (!a.reactions_complete) {
+      rep.violations.push_back(
+          who + ": driver missed a committed stage transition");
+    }
+  }
+  const ShardAudit a = ref.audit();
+  rep.groups = ref.num_groups();
+  rep.group_slots_max = ref.max_group_slots();
+  rep.cross_shard_ops = a.cross_done;
+  rep.cross_shard_aborts = a.cross_aborted;
+  rep.migrations = a.migrations;
+}
 
 // -------------------------------------------------------------------------
-// Workload scripts.
+// Replicated-ledger workloads: ReplicaNode<LedgerSM<Spec>> clusters, one
+// command per consensus slot.
 // -------------------------------------------------------------------------
 
 // ERC20 transfer storm: every replica streams payments to rotating
@@ -208,10 +442,8 @@ class LedgerHarness {
 ScenarioReport run_erc20_transfer_storm(const ScenarioConfig& cfg) {
   const std::size_t n = cfg.num_replicas;
   const Amount kInitial = 100;
-  Erc20State initial(std::vector<Amount>(n, kInitial),
-                     std::vector<std::vector<Amount>>(
-                         n, std::vector<Amount>(n, 0)));
-  LedgerHarness<Erc20Spec> h(cfg, initial);
+  LedgerCluster<Erc20Spec> h(
+      cfg, LedgerSM<Erc20Spec>(erc20_initial(n, kInitial, 0)));
 
   for (ProcessId p = 0; p < n; ++p) {
     h.submit_at(p, 4 + p,
@@ -233,14 +465,7 @@ ScenarioReport run_erc20_transfer_storm(const ScenarioConfig& cfg) {
       }
     }
   }
-
-  const Amount expected = kInitial * n;
-  return h.finish([expected](const LedgerSM<Erc20Spec>& sm)
-                      -> std::optional<std::string> {
-    if (sm.state().total_supply() == expected) return std::nullopt;
-    return "supply " + std::to_string(sm.state().total_supply()) +
-           " != " + std::to_string(expected);
-  });
+  return h.finish(supply_is(kInitial * n));
 }
 
 // ERC721 mint/trade race: the treasury (account 0) mints by transferring
@@ -251,8 +476,8 @@ ScenarioReport run_erc20_transfer_storm(const ScenarioConfig& cfg) {
 ScenarioReport run_erc721_mint_trade_race(const ScenarioConfig& cfg) {
   const std::size_t n = cfg.num_replicas;
   const std::size_t m = 2 * n;  // tokens, all owned by the treasury
-  Erc721State initial(n, std::vector<AccountId>(m, 0));
-  LedgerHarness<Erc721Spec> h(cfg, initial);
+  LedgerCluster<Erc721Spec> h(
+      cfg, LedgerSM<Erc721Spec>(Erc721State(n, std::vector<AccountId>(m, 0))));
 
   for (std::size_t j = 0; j < m; ++j) {
     const auto dst = static_cast<AccountId>(1 + (j % (n - 1)));
@@ -273,20 +498,7 @@ ScenarioReport run_erc721_mint_trade_race(const ScenarioConfig& cfg) {
     h.submit_at(racer_b, 133 + 20 * r,
                 Erc721Op::transfer_from(owner, racer_b, tok));
   }
-
-  return h.finish([n, m](const LedgerSM<Erc721Spec>& sm)
-                      -> std::optional<std::string> {
-    if (sm.state().num_tokens() != m) {
-      return "token count changed: " + std::to_string(sm.state().num_tokens());
-    }
-    for (TokenId t = 0; t < m; ++t) {
-      if (sm.state().owner_of(t) >= n) {
-        return "token " + std::to_string(t) + " owned by invalid account " +
-               std::to_string(sm.state().owner_of(t));
-      }
-    }
-    return std::nullopt;
-  });
+  return h.finish(owners_valid(n, m));
 }
 
 // ERC777 approve/burn contention: the issuer authorizes two operators
@@ -297,8 +509,8 @@ ScenarioReport run_erc721_mint_trade_race(const ScenarioConfig& cfg) {
 ScenarioReport run_erc777_approve_burn(const ScenarioConfig& cfg) {
   const std::size_t n = cfg.num_replicas;
   const Amount kSupply = 1000;
-  Erc777State initial(n, /*deployer=*/0, kSupply);
-  LedgerHarness<Erc777Spec> h(cfg, initial);
+  LedgerCluster<Erc777Spec> h(
+      cfg, LedgerSM<Erc777Spec>(Erc777State(n, /*deployer=*/0, kSupply)));
 
   const auto burn_sink = static_cast<AccountId>(n - 1);
   h.submit_at(0, 5, Erc777Op::authorize_operator(1));
@@ -309,13 +521,7 @@ ScenarioReport run_erc777_approve_burn(const ScenarioConfig& cfg) {
     h.submit_at(1, 20 + 11 * j, Erc777Op::send(burn_sink, 3));
   }
   h.submit_at(0, 90, Erc777Op::revoke_operator(1));
-
-  return h.finish([kSupply](const LedgerSM<Erc777Spec>& sm)
-                      -> std::optional<std::string> {
-    if (sm.state().total_supply() == kSupply) return std::nullopt;
-    return "supply " + std::to_string(sm.state().total_supply()) +
-           " != " + std::to_string(kSupply);
-  });
+  return h.finish(supply_is(kSupply));
 }
 
 // -------------------------------------------------------------------------
@@ -581,9 +787,6 @@ ScenarioReport run_executor_workload(
 ScenarioReport run_erc20_parallel_storm(const ScenarioConfig& cfg) {
   constexpr std::size_t kAccts = 16;
   const Amount kInitial = 100;
-  Erc20State initial(std::vector<Amount>(kAccts, kInitial),
-                     std::vector<std::vector<Amount>>(
-                         kAccts, std::vector<Amount>(kAccts, 2)));
   Rng rng(cfg.seed);
   std::vector<Erc20Ledger::BatchOp> batch;
   const std::size_t ops = 60 * cfg.intensity;
@@ -604,15 +807,9 @@ ScenarioReport run_erc20_parallel_storm(const ScenarioConfig& cfg) {
       batch.push_back({caller, Erc20Op::transfer(dst, 1 + rng.below(3))});
     }
   }
-
-  const Amount expected = kInitial * kAccts;
   return run_executor_workload<Erc20LedgerSpec>(
-      cfg, initial, batch,
-      [expected](const Erc20State& q) -> std::optional<std::string> {
-        if (q.total_supply() == expected) return std::nullopt;
-        return "supply " + std::to_string(q.total_supply()) +
-               " != " + std::to_string(expected);
-      });
+      cfg, erc20_initial(kAccts, kInitial, 2), batch,
+      supply_is(kInitial * kAccts));
 }
 
 // Mixed commute/escalate: the ERC721 fast path (argument-footprint
@@ -653,22 +850,8 @@ ScenarioReport run_mixed_commute_escalate(const ScenarioConfig& cfg) {
                        static_cast<AccountId>(rng.below(kAccts)), tok)});
     }
   }
-
   return run_executor_workload<Erc721LedgerSpec>(
-      cfg, initial, batch,
-      [kAccts](const Erc721State& q) -> std::optional<std::string> {
-        if (q.num_tokens() != kTokens) {
-          return "token count changed: " + std::to_string(q.num_tokens());
-        }
-        for (TokenId t = 0; t < kTokens; ++t) {
-          if (q.owner_of(t) >= kAccts) {
-            return "token " + std::to_string(t) +
-                   " owned by invalid account " +
-                   std::to_string(q.owner_of(t));
-          }
-        }
-        return std::nullopt;
-      });
+      cfg, initial, batch, owners_valid(kAccts, kTokens));
 }
 
 // -------------------------------------------------------------------------
@@ -682,235 +865,30 @@ ScenarioReport run_mixed_commute_escalate(const ScenarioConfig& cfg) {
 // independent of replay_threads.
 // -------------------------------------------------------------------------
 
-template <typename Spec>
-class BlockHarness {
- public:
-  using Node = BlockReplicaNode<Spec>;
-
-  BlockHarness(const ScenarioConfig& cfg,
-               const typename Spec::SeqState& initial)
-      : cfg_(cfg), initial_(initial),
-        net_(cfg.num_replicas, make_net_config(cfg.fault, cfg.seed)),
-        correct_(correct_mask(cfg.num_replicas, cfg.fault)) {
-    arm_fault_schedule(net_, cfg.fault);
-    bcfg_.max_ops = cfg.block_max_ops;
-    bcfg_.deadline = cfg.block_deadline;
-    bcfg_.pipeline_window = cfg.block_window;
-    eopts_ = ExecOptions{.threads = cfg.replay_threads};
-    rcfg_.snapshot_interval = cfg.snapshot_interval;
-    rcfg_.prune = cfg.prune;
-    for (ProcessId p = 0; p < cfg.num_replicas; ++p) {
-      nodes_.push_back(std::make_unique<Node>(net_, p, initial_, bcfg_,
-                                              eopts_, cfg.relay_mode, rcfg_));
-    }
-    if (cfg.fault == FaultProfile::kCrashRejoin) {
-      // The last replica crashes mid-run and is rebuilt as a rejoiner
-      // (arm_fault_schedule deliberately leaves this profile to us —
-      // net-level events cannot reconstruct a node).
-      const FaultTiming t{};
-      rejoiner_ = static_cast<ProcessId>(cfg.num_replicas - 1);
-      const ProcessId p = *rejoiner_;
-      net_.schedule(t.crash_at, [this, p] { net_.crash(p); });
-      net_.schedule(t.rejoin_at, [this, p] { do_rejoin(p); });
-    }
-  }
-
-  /// Schedules one client op at replica `p` (pool intake; the replica
-  /// cuts and proposes blocks on its own size/deadline rule).  The
-  /// callback resolves nodes_[p] at FIRE time — never capture the Node
-  /// pointer: the rejoin rebuilds the node, and a callback firing after
-  /// the restart must reach the NEW instance, not a dangling old one.
-  void submit_at(ProcessId p, std::uint64_t t, ProcessId caller,
-                 typename Spec::Op op) {
-    net_.call_at(p, t,
-                 [this, p, caller, op] { nodes_[p]->submit(caller, op); });
-    last_submit_ = std::max(last_submit_, t);
-  }
-
-  /// Arms the deadline ticks (every replica, every block_deadline units,
-  /// two periods past the last submit so every pooled op gets a cut;
-  /// under kCrashRejoin the horizon additionally extends well past the
-  /// rejoin so the rejoiner's post-recovery pool gets its cuts), drains
-  /// to convergence, audits, fills the report.  `conserve` checks one
-  /// replica's replayed ledger snapshot.
-  ScenarioReport finish(
-      const std::function<std::optional<std::string>(
-          const typename Spec::SeqState&)>& conserve) {
-    const std::uint64_t period = std::max<std::uint64_t>(cfg_.block_deadline, 1);
-    std::uint64_t horizon = last_submit_ + 2 * period;
-    if (rejoiner_) {
-      horizon = std::max(horizon, FaultTiming{}.rejoin_at + 40 * period);
-    }
-    for (ProcessId p = 0; p < nodes_.size(); ++p) {
-      for (std::uint64_t t = period; t <= horizon; t += period) {
-        net_.call_at(p, t, [this, p] { nodes_[p]->on_deadline(); });
-      }
-    }
-    const bool quiescent = drain_cluster(net_, nodes_, correct_);
-    const std::size_t ref = reference_replica(correct_);
-    ScenarioReport rep = rejoiner_
-                             ? rejoin_report(ref)
-                             : cluster_report(cfg_, net_, nodes_, correct_,
-                                              nodes_[ref]->ops_committed());
-    note_quiescence(rep, quiescent);
-    rep.slots = nodes_[ref]->blocks_committed();
-    rep.proposal_bytes = nodes_[ref]->proposal_bytes();
-    for (std::size_t p = 0; p < nodes_.size(); ++p) {
-      if (correct_[p]) rep.miss_recoveries += nodes_[p]->relay().miss_recoveries();
-    }
-    rep.snapshot_bytes = nodes_[ref]->snapshot_bytes();
-    rep.pruned_slots = nodes_[ref]->pruned_slots();
-    rep.retained_log_bytes = nodes_[ref]->retained_log_bytes();
-    if (rejoiner_) rep.catchup_ops = nodes_[*rejoiner_]->catchup_ops();
-    audit_conservation(rep, nodes_, [&conserve](const Node& n) {
-      return conserve(n.engine().ledger().snapshot());
-    });
-    return rep;
-  }
-
- private:
-  /// Tears down the crashed node and rebuilds it as a rejoiner: restart
-  /// re-enables delivery (everything queued while down is gone), the new
-  /// instance starts from the INITIAL state with RecoveryConfig::recover
-  /// set, so its first act is fetching a snapshot + catching up the log
-  /// suffix.  The old instance's un-decided proposals die with it — a
-  /// crash loses volatile state by definition.
-  void do_rejoin(ProcessId p) {
-    net_.restart(p);
-    RecoveryConfig rcfg = rcfg_;
-    rcfg.recover = true;
-    nodes_[p] = std::make_unique<Node>(net_, p, initial_, bcfg_, eopts_,
-                                       cfg_.relay_mode, rcfg);
-    if (cfg_.rejoin_stale && rcfg_.snapshot_interval > 0) {
-      // Stale-snapshot variant: the first peer the rejoiner asks
-      // ((p + 1) % n, recovery.h's rotation) serves nothing newer than
-      // the FIRST boundary, so the first install is stale and the
-      // recovery path must supersede it (via the kPruned redirect when
-      // pruning outran the stale boundary, or by replaying the longer
-      // suffix otherwise).
-      const auto first =
-          static_cast<ProcessId>((p + 1) % cfg_.num_replicas);
-      nodes_[first]->recovery().set_max_served_slot(
-          rcfg_.snapshot_interval);
-    }
-  }
-
-  /// The kCrashRejoin audit.  The never-crashed replicas are held to the
-  /// usual byte-identical agreement; the rejoiner — whose log STARTS at
-  /// its snapshot install boundary — must match the reference history's
-  /// SUFFIX from that boundary byte for byte, and its installed snapshot
-  /// hash must equal the reference's retained hash at the same boundary
-  /// (same cut of the same committed prefix ⇒ same bytes ⇒ same hash).
-  ScenarioReport rejoin_report(std::size_t ref) {
-    const ProcessId rj = *rejoiner_;
-    ScenarioReport rep;
-    fill_report_skeleton(rep, to_string(cfg_.workload), cfg_.fault,
-                         cfg_.seed, cfg_.num_replicas, net_.now(),
-                         net_.stats(), nodes_[ref]->history(),
-                         nodes_[ref]->ops_committed(),
-                         nodes_[ref]->log().empty()
-                             ? 0
-                             : nodes_[ref]->log().back().time);
-    std::vector<std::uint64_t> lats;
-    for (std::size_t p = 0; p < nodes_.size(); ++p) {
-      rep.submitted += nodes_[p]->submitted();
-      const auto& l = nodes_[p]->commit_latencies();
-      lats.insert(lats.end(), l.begin(), l.end());
-      if (p == rj) continue;  // suffix-audited below
-      if (!nodes_[p]->all_settled()) {
-        rep.settled = false;
-        rep.violations.push_back("replica " + std::to_string(p) +
-                                 " has unsettled submissions");
-      }
-      if (nodes_[p]->history() != rep.history) {
-        rep.agreement = false;
-        rep.violations.push_back("replica " + std::to_string(p) +
-                                 " history diverges");
-      }
-    }
-    rep.latency = summarize_latencies(std::move(lats));
-
-    const Node& r = *nodes_[rj];
-    if (r.recovering() || !r.all_settled()) {
-      rep.settled = false;
-      rep.violations.push_back("rejoiner still recovering or unsettled");
-    }
-    const std::uint64_t at = r.install_slot();
-    if (r.history() != nodes_[ref]->history_from(at)) {
-      rep.agreement = false;
-      rep.violations.push_back(
-          "rejoiner history diverges from the reference suffix at slot " +
-          std::to_string(at));
-    }
-    if (at > 0) {
-      const auto want = nodes_[ref]->recovery().store().hash_at(at);
-      if (!want || *want != r.installed_snapshot_hash()) {
-        rep.agreement = false;
-        rep.violations.push_back(
-            "rejoiner snapshot hash mismatch at boundary " +
-            std::to_string(at));
-      }
-    }
-    return rep;
-  }
-
-  ScenarioConfig cfg_;
-  typename Spec::SeqState initial_;  // the rejoiner restarts from this
-  typename Node::Net net_;
-  std::vector<std::unique_ptr<Node>> nodes_;
-  std::vector<bool> correct_;
-  BlockConfig bcfg_;
-  ExecOptions eopts_;
-  RecoveryConfig rcfg_;
-  std::optional<ProcessId> rejoiner_;
-  std::uint64_t last_submit_ = 0;
-};
-
-// ERC20 block storm: every replica pools a seeded stream of mostly
-// per-account-commuting transfers, salted with allowance traffic and a
-// rare totalSupply barrier (the escalation lane inside a block).  16
-// accounts across 4 replicas keep the intra-block conflict graph wide,
-// so the replay waves actually fan out.
+// ERC20 block storm: every replica pools a seeded stream of the storm
+// mix.  16 accounts across 4 replicas keep the intra-block conflict graph
+// wide, so the replay waves actually fan out.
 ScenarioReport run_erc20_block_storm(const ScenarioConfig& cfg) {
   constexpr std::size_t kAccts = 16;
   const Amount kInitial = 100;
-  Erc20State initial(std::vector<Amount>(kAccts, kInitial),
-                     std::vector<std::vector<Amount>>(
-                         kAccts, std::vector<Amount>(kAccts, 2)));
-  BlockHarness<Erc20LedgerSpec> h(cfg, initial);
+  const Erc20State initial = erc20_initial(kAccts, kInitial, 2);
+  BlockCluster<Erc20LedgerSpec> h(cfg, initial, block_config(cfg),
+                                  exec_options(cfg), cfg.relay_mode,
+                                  recovery_config(cfg));
+  if (cfg.fault == FaultProfile::kCrashRejoin) arm_crash_rejoin(h, initial);
 
   Rng rng(cfg.seed * 977 + 13);
   for (std::size_t j = 0; j < cfg.intensity; ++j) {
     for (ProcessId p = 0; p < cfg.num_replicas; ++p) {
       const std::uint64_t base = 10 + 17 * j + 4 * p;
       for (std::uint64_t k = 0; k < 3; ++k) {
-        const auto caller = static_cast<ProcessId>(rng.below(kAccts));
-        const auto dst = static_cast<AccountId>(rng.below(kAccts));
-        const auto roll = rng.below(40);
-        if (roll == 0) {
-          h.submit_at(p, base + k, caller, Erc20Op::total_supply());
-        } else if (roll < 4) {
-          h.submit_at(p, base + k, caller,
-                      Erc20Op::approve(static_cast<ProcessId>(dst), 2));
-        } else if (roll < 8) {
-          h.submit_at(p, base + k, caller,
-                      Erc20Op::transfer_from(
-                          static_cast<AccountId>(rng.below(kAccts)), dst, 1));
-        } else {
-          h.submit_at(p, base + k, caller,
-                      Erc20Op::transfer(dst, 1 + rng.below(3)));
-        }
+        const auto b = storm_op(rng, kAccts);
+        h.submit_at(p, base + k, b.caller, b.op);
       }
     }
   }
-
-  const Amount expected = kInitial * kAccts;
-  return h.finish([expected](const Erc20State& q)
-                      -> std::optional<std::string> {
-    if (q.total_supply() == expected) return std::nullopt;
-    return "supply " + std::to_string(q.total_supply()) +
-           " != " + std::to_string(expected);
-  });
+  return h.finish(supply_is(kInitial * kAccts),
+                  block_extras<Erc20LedgerSpec>);
 }
 
 // -------------------------------------------------------------------------
@@ -923,99 +901,23 @@ ScenarioReport run_erc20_block_storm(const ScenarioConfig& cfg) {
 // (and with it the covering-proposal slot count) ~1/P — the E26 axis.
 // -------------------------------------------------------------------------
 
-class MultiProposerHarness {
- public:
-  using Node = MultiProposerNode<Erc20LedgerSpec>;
-
-  MultiProposerHarness(const ScenarioConfig& cfg, const Erc20State& initial)
-      : cfg_(cfg),
-        net_(cfg.num_replicas, make_net_config(cfg.fault, cfg.seed)),
-        correct_(correct_mask(cfg.num_replicas, cfg.fault)) {
-    arm_fault_schedule(net_, cfg.fault);
-    MultiProposerConfig mcfg;
-    mcfg.num_proposers = cfg.num_proposers;
-    mcfg.subblock_max_ops = cfg.subblock_max_ops;
-    mcfg.deadline = cfg.block_deadline;
-    const ExecOptions eopts{.threads = cfg.replay_threads};
-    for (ProcessId p = 0; p < cfg.num_replicas; ++p) {
-      nodes_.push_back(
-          std::make_unique<Node>(net_, p, initial, mcfg, eopts));
-    }
-  }
-
-  void submit_at(ProcessId p, std::uint64_t t, ProcessId caller,
-                 Erc20Op op) {
-    Node* node = nodes_[p].get();
-    net_.call_at(p, t, [node, caller, op] { node->submit(caller, op); });
-    last_submit_ = std::max(last_submit_, t);
-  }
-
-  ScenarioReport finish(
-      const std::function<std::optional<std::string>(const Erc20State&)>&
-          conserve) {
-    const std::uint64_t period =
-        std::max<std::uint64_t>(cfg_.block_deadline, 1);
-    const std::uint64_t horizon = last_submit_ + 2 * period;
-    for (ProcessId p = 0; p < nodes_.size(); ++p) {
-      for (std::uint64_t t = period; t <= horizon; t += period) {
-        net_.call_at(p, t, [this, p] { nodes_[p]->on_deadline(); });
-      }
-    }
-    const bool quiescent = drain_cluster(net_, nodes_, correct_);
-    const std::size_t ref = reference_replica(correct_);
-    ScenarioReport rep = cluster_report(cfg_, net_, nodes_, correct_,
-                                        nodes_[ref]->ops_committed());
-    note_quiescence(rep, quiescent);
-    rep.slots = nodes_[ref]->slots_committed();
-    rep.proposal_bytes = nodes_[ref]->proposal_bytes();
-    if (rep.slots > 0) {
-      rep.subblocks_per_slot =
-          static_cast<double>(nodes_[ref]->subblocks_applied()) /
-          static_cast<double>(rep.slots);
-    }
-    rep.dup_refs_dropped = nodes_[ref]->dup_refs_dropped();
-    for (std::size_t p = 0; p < nodes_.size(); ++p) {
-      if (!correct_[p]) continue;
-      rep.miss_recoveries += nodes_[p]->exchange().miss_recoveries();
-      // The dedup counters are a pure function of the committed
-      // reference sequence, so agreement extends to them.
-      if (nodes_[p]->dup_refs_dropped() != rep.dup_refs_dropped) {
-        rep.agreement = false;
-        rep.violations.push_back("replica " + std::to_string(p) +
-                                 " dup_refs_dropped diverges");
-      }
-    }
-    audit_conservation(rep, nodes_, [&conserve](const Node& n) {
-      return conserve(n.engine().ledger().snapshot());
-    });
-    return rep;
-  }
-
- private:
-  ScenarioConfig cfg_;
-  Node::Net net_;
-  std::vector<std::unique_ptr<Node>> nodes_;
-  std::vector<bool> correct_;
-  std::uint64_t last_submit_ = 0;
-};
-
-// ERC20 multi-proposer storm: the block storm's op mix (mostly
-// commuting transfers, allowance traffic, a rare totalSupply barrier)
-// over a FIXED total op count — intensity * 16 ops round-robin across
-// the P proposer replicas, each ingesting one op per kCadence ticks.
-// The per-replica rate is what a single proposer would carry at P = 1,
-// so the aggregate rate grows with P and the storm span shrinks ~1/P.
-// The *16 total keeps every lane's share divisible by the default
-// sub-block size at P in {1, 2, 4}: each lane ends on a full size cut,
-// so the P axis compares pipelines, not leftover deadline-cut waits.
+// ERC20 multi-proposer storm: the block storm's op mix over a FIXED total
+// op count — intensity * 16 ops round-robin across the P proposer
+// replicas, each ingesting one op per kCadence ticks.  The per-replica
+// rate is what a single proposer would carry at P = 1, so the aggregate
+// rate grows with P and the storm span shrinks ~1/P.  The *16 total keeps
+// every lane's share divisible by the default sub-block size at P in
+// {1, 2, 4}: each lane ends on a full size cut, so the P axis compares
+// pipelines, not leftover deadline-cut waits.
 ScenarioReport run_erc20_multiproposer_storm(const ScenarioConfig& cfg) {
   constexpr std::size_t kAccts = 16;
   constexpr std::uint64_t kCadence = 6;
   const Amount kInitial = 100;
-  Erc20State initial(std::vector<Amount>(kAccts, kInitial),
-                     std::vector<std::vector<Amount>>(
-                         kAccts, std::vector<Amount>(kAccts, 2)));
-  MultiProposerHarness h(cfg, initial);
+  const MultiProposerConfig mcfg{.num_proposers = cfg.num_proposers,
+                                 .subblock_max_ops = cfg.subblock_max_ops,
+                                 .deadline = cfg.block_deadline};
+  MultiProposerCluster h(cfg, erc20_initial(kAccts, kInitial, 2), mcfg,
+                         exec_options(cfg));
 
   const std::size_t proposers =
       std::clamp<std::size_t>(cfg.num_proposers, 1, cfg.num_replicas);
@@ -1026,30 +928,10 @@ ScenarioReport run_erc20_multiproposer_storm(const ScenarioConfig& cfg) {
     const auto p = static_cast<ProcessId>(i % proposers);
     const std::uint64_t t = next_at[p];
     next_at[p] += kCadence;
-    const auto caller = static_cast<ProcessId>(rng.below(kAccts));
-    const auto dst = static_cast<AccountId>(rng.below(kAccts));
-    const auto roll = rng.below(40);
-    if (roll == 0) {
-      h.submit_at(p, t, caller, Erc20Op::total_supply());
-    } else if (roll < 4) {
-      h.submit_at(p, t, caller,
-                  Erc20Op::approve(static_cast<ProcessId>(dst), 2));
-    } else if (roll < 8) {
-      h.submit_at(p, t, caller,
-                  Erc20Op::transfer_from(
-                      static_cast<AccountId>(rng.below(kAccts)), dst, 1));
-    } else {
-      h.submit_at(p, t, caller, Erc20Op::transfer(dst, 1 + rng.below(3)));
-    }
+    const auto b = storm_op(rng, kAccts);
+    h.submit_at(p, t, b.caller, b.op);
   }
-
-  const Amount expected = kInitial * kAccts;
-  return h.finish([expected](const Erc20State& q)
-                      -> std::optional<std::string> {
-    if (q.total_supply() == expected) return std::nullopt;
-    return "supply " + std::to_string(q.total_supply()) +
-           " != " + std::to_string(expected);
-  });
+  return h.finish(supply_is(kInitial * kAccts), multi_proposer_extras);
 }
 
 // Mixed block escalate: ERC721 blocks mixing the fast path
@@ -1066,7 +948,10 @@ ScenarioReport run_mixed_block_escalate(const ScenarioConfig& cfg) {
     owners[t] = static_cast<AccountId>(t % kAccts);
   }
   const Erc721State initial(kAccts, owners);
-  BlockHarness<Erc721LedgerSpec> h(cfg, initial);
+  BlockCluster<Erc721LedgerSpec> h(cfg, initial, block_config(cfg),
+                                   exec_options(cfg), cfg.relay_mode,
+                                   recovery_config(cfg));
+  if (cfg.fault == FaultProfile::kCrashRejoin) arm_crash_rejoin(h, initial);
 
   Rng rng(cfg.seed * 1181 + 29);
   for (std::size_t j = 0; j < cfg.intensity; ++j) {
@@ -1096,19 +981,8 @@ ScenarioReport run_mixed_block_escalate(const ScenarioConfig& cfg) {
       }
     }
   }
-
-  return h.finish([](const Erc721State& q) -> std::optional<std::string> {
-    if (q.num_tokens() != kTokens) {
-      return "token count changed: " + std::to_string(q.num_tokens());
-    }
-    for (TokenId t = 0; t < kTokens; ++t) {
-      if (q.owner_of(t) >= kAccts) {
-        return "token " + std::to_string(t) + " owned by invalid account " +
-               std::to_string(q.owner_of(t));
-      }
-    }
-    return std::nullopt;
-  });
+  return h.finish(owners_valid(kAccts, kTokens),
+                  block_extras<Erc721LedgerSpec>);
 }
 
 // -------------------------------------------------------------------------
@@ -1123,126 +997,6 @@ ScenarioReport run_mixed_block_escalate(const ScenarioConfig& cfg) {
 // a barrier-prefix of the survivors'.
 // -------------------------------------------------------------------------
 
-template <typename Spec>
-class HybridHarness {
- public:
-  using Node = HybridReplicaNode<Spec>;
-
-  HybridHarness(const ScenarioConfig& cfg,
-                const typename Spec::SeqState& initial)
-      : cfg_(cfg),
-        net_(cfg.num_replicas, make_net_config(cfg.fault, cfg.seed)),
-        correct_(correct_mask(cfg.num_replicas, cfg.fault)) {
-    arm_fault_schedule(net_, cfg.fault);
-    HybridConfig hcfg;
-    hcfg.relay_mode = cfg.relay_mode;
-    hcfg.erb_batch = cfg.erb_batch;
-    hcfg.force_consensus = cfg.hybrid_force_consensus;
-    hcfg.slow_subblock_ops = cfg.slow_subblock_ops;
-    hcfg.fast_lane = cfg.fast_lane;
-    for (ProcessId p = 0; p < cfg.num_replicas; ++p) {
-      nodes_.push_back(std::make_unique<Node>(
-          net_, p, initial, ExecOptions{.threads = cfg.replay_threads},
-          hcfg));
-    }
-    if (cfg.num_equivocators > 0) arm_equivocators();
-  }
-
-  void submit_at(ProcessId p, std::uint64_t t, ProcessId caller,
-                 typename Spec::Op op) {
-    Node* node = nodes_[p].get();
-    net_.call_at(p, t, [node, caller, op] { node->submit(caller, op); });
-  }
-
-  ScenarioReport finish(
-      const std::function<std::optional<std::string>(
-          const typename Spec::SeqState&)>& conserve) {
-    const bool quiescent = drain_cluster(net_, nodes_, correct_);
-    // Terminal fast epoch — correct replicas only (a crashed replica
-    // cannot run anything; its history stays a prefix by construction).
-    for (std::size_t p = 0; p < nodes_.size(); ++p) {
-      if (correct_[p]) nodes_[p]->finalize();
-    }
-
-    const std::size_t ref = reference_replica(correct_);
-    ScenarioReport rep =
-        cluster_report(cfg_, net_, nodes_, correct_,
-                       nodes_[ref]->engine().ops_applied());
-    note_quiescence(rep, quiescent);
-    rep.slots = nodes_[ref]->consensus_slots();
-    rep.fast_lane_ops = nodes_[ref]->fast_lane_ops();
-    rep.proposal_bytes = nodes_[ref]->proposal_bytes();
-    for (std::size_t p = 0; p < nodes_.size(); ++p) {
-      if (correct_[p]) rep.miss_recoveries += nodes_[p]->relay().miss_recoveries();
-    }
-    // Byzantine-tier counters + the proof-agreement audit (DESIGN.md
-    // §15): "every correct replica detects the equivocation" is literal
-    // map equality — same keys, byte-identical canonical proofs.
-    rep.conflict_proofs = nodes_[ref]->conflict_proofs().size();
-    rep.quarantined_origins = nodes_[ref]->num_quarantined();
-    rep.equivocation_commits = nodes_[ref]->equivocation_commits();
-    for (std::size_t p = 0; p < nodes_.size(); ++p) {
-      if (!correct_[p] || p == ref) continue;
-      if (nodes_[p]->conflict_proofs() != nodes_[ref]->conflict_proofs()) {
-        rep.agreement = false;
-        rep.violations.push_back("replica " + std::to_string(p) +
-                                 " conflict-proof set diverges");
-      }
-    }
-    audit_conservation(rep, nodes_, [&conserve](const Node& n) {
-      return conserve(n.engine().ledger().snapshot());
-    });
-    return rep;
-  }
-
- private:
-  /// Network-level equivocation (ISSUE 9): the highest-id replicas run
-  /// HONEST node code, but SimNet forks their outgoing Bracha SENDs —
-  /// exactly one victim receives a conflicting payload for the same
-  /// (origin, seq), the classic same-funds-different-recipient respend.
-  /// The fork shape is deliberate: the original payload still reaches
-  /// the echo quorum through the origin plus the non-victim correct
-  /// replicas, so that branch delivers under every fault profile, while
-  /// the forked branch (at most one echo) can never assemble a quorum —
-  /// detection fires everywhere, delivery never splits.
-  void arm_equivocators() {
-    if constexpr (std::is_same_v<typename Spec::Op, Erc20Op>) {
-      using BMsg = BrachaMsg<typename Node::FastBatch>;
-      using Msg = typename Node::Net::MsgType;
-      const std::size_t n = cfg_.num_replicas;
-      const std::size_t k = std::min(cfg_.num_equivocators, n);
-      for (std::size_t i = 0; i < k; ++i) {
-        const auto e = static_cast<ProcessId>(n - 1 - i);
-        const auto victim = static_cast<ProcessId>((e + 1) % n);
-        const std::uint32_t pct = cfg_.equivocate_pct;
-        net_.set_equivocator(
-            e, [victim, pct, n](ProcessId to,
-                                const Msg& m) -> std::optional<Msg> {
-              if (to != victim) return std::nullopt;
-              const auto* bm = std::get_if<BMsg>(&m);
-              if (!bm || bm->type != BMsg::Type::kSend) return std::nullopt;
-              // Deterministic per-seq gate (no Rng: the fork must not
-              // perturb the primary schedule's random streams).
-              if ((bm->seq * 37 + 11) % 100 >= pct) return std::nullopt;
-              if (bm->payload.ops.empty() ||
-                  bm->payload.ops.front().kind != Erc20Op::Kind::kTransfer) {
-                return std::nullopt;
-              }
-              BMsg fork = *bm;
-              Erc20Op& op = fork.payload.ops.front();
-              op.dst = static_cast<AccountId>((op.dst + 1) % n);
-              return Msg(std::in_place_type<BMsg>, std::move(fork));
-            });
-      }
-    }
-  }
-
-  ScenarioConfig cfg_;
-  typename Node::Net net_;
-  std::vector<std::unique_ptr<Node>> nodes_;
-  std::vector<bool> correct_;
-};
-
 // ERC20 fast-lane storm: PURE owner-signed transfers — every operation
 // classifies CN = 1 and rides the ERB lane, so the run must commit with
 // ZERO consensus slots.  Every submission lands before t = 45 (the
@@ -1255,10 +1009,8 @@ class HybridHarness {
 ScenarioReport run_erc20_fastlane_storm(const ScenarioConfig& cfg) {
   const std::size_t n = cfg.num_replicas;
   const Amount kInitial = 100;
-  Erc20State initial(std::vector<Amount>(n, kInitial),
-                     std::vector<std::vector<Amount>>(
-                         n, std::vector<Amount>(n, 0)));
-  HybridHarness<Erc20LedgerSpec> h(cfg, initial);
+  HybridCluster h(cfg, erc20_initial(n, kInitial, 0), exec_options(cfg),
+                  hybrid_config(cfg));
 
   const std::size_t per_replica = 3 * cfg.intensity;
   for (ProcessId p = 0; p < n; ++p) {
@@ -1270,14 +1022,7 @@ ScenarioReport run_erc20_fastlane_storm(const ScenarioConfig& cfg) {
                       1 + static_cast<Amount>(j % 2)));
     }
   }
-
-  const Amount expected = kInitial * n;
-  return h.finish([expected](const Erc20State& q)
-                      -> std::optional<std::string> {
-    if (q.total_supply() == expected) return std::nullopt;
-    return "supply " + std::to_string(q.total_supply()) +
-           " != " + std::to_string(expected);
-  });
+  return h.finish(supply_is(kInitial * n), hybrid_extras);
 }
 
 // Mixed synchronization tiers: owner-signed transfers stream over the
@@ -1291,10 +1036,8 @@ ScenarioReport run_erc20_fastlane_storm(const ScenarioConfig& cfg) {
 ScenarioReport run_mixed_sync_tiers(const ScenarioConfig& cfg) {
   const std::size_t n = cfg.num_replicas;
   const Amount kInitial = 100;
-  Erc20State initial(std::vector<Amount>(n, kInitial),
-                     std::vector<std::vector<Amount>>(
-                         n, std::vector<Amount>(n, 0)));
-  HybridHarness<Erc20LedgerSpec> h(cfg, initial);
+  HybridCluster h(cfg, erc20_initial(n, kInitial, 0), exec_options(cfg),
+                  hybrid_config(cfg));
 
   for (ProcessId p = 0; p < n; ++p) {
     h.submit_at(p, 8 + p, p,
@@ -1319,14 +1062,7 @@ ScenarioReport run_mixed_sync_tiers(const ScenarioConfig& cfg) {
     }
   }
   h.submit_at(0, 30 + 19 * cfg.intensity, 0, Erc20Op::total_supply());
-
-  const Amount expected = kInitial * n;
-  return h.finish([expected](const Erc20State& q)
-                      -> std::optional<std::string> {
-    if (q.total_supply() == expected) return std::nullopt;
-    return "supply " + std::to_string(q.total_supply()) +
-           " != " + std::to_string(expected);
-  });
+  return h.finish(supply_is(kInitial * n), hybrid_extras);
 }
 
 // ERC20 respend storm (ISSUE 9): the fastlane-storm script on the
@@ -1356,10 +1092,9 @@ ScenarioReport run_erc20_respend_storm(const ScenarioConfig& rcfg) {
   }
   const std::size_t n = cfg.num_replicas;
   const Amount kInitial = 100;
-  Erc20State initial(std::vector<Amount>(n, kInitial),
-                     std::vector<std::vector<Amount>>(
-                         n, std::vector<Amount>(n, 0)));
-  HybridHarness<Erc20LedgerSpec> h(cfg, initial);
+  HybridCluster h(cfg, erc20_initial(n, kInitial, 0), exec_options(cfg),
+                  hybrid_config(cfg));
+  if (cfg.num_equivocators > 0) arm_equivocators(h);
 
   const std::size_t per_replica = 3 * cfg.intensity;
   for (ProcessId p = 0; p + 1 < n; ++p) {
@@ -1379,183 +1114,14 @@ ScenarioReport run_erc20_respend_storm(const ScenarioConfig& rcfg) {
   const auto resp = static_cast<ProcessId>(n - 1);
   h.submit_at(resp, 4, resp,
               Erc20Op::transfer(static_cast<AccountId>(0), 2));
-
-  const Amount expected = kInitial * n;
-  return h.finish([expected](const Erc20State& q)
-                      -> std::optional<std::string> {
-    if (q.total_supply() == expected) return std::nullopt;
-    return "supply " + std::to_string(q.total_supply()) +
-           " != " + std::to_string(expected);
-  });
+  return h.finish(supply_is(kInitial * n), hybrid_extras);
 }
 
-// ---------------------------------------------------------------------------
-// Sharded harness (ISSUE 8): ShardedReplicaNode clusters — N replica
+// -------------------------------------------------------------------------
+// Sharded workload (DESIGN.md §14): ShardedReplicaNode clusters — N replica
 // groups over one SimNet, with the 2PC / migration driver reacting to
 // committed stage transitions (net/shard_group.h).
-// ---------------------------------------------------------------------------
-
-class ShardHarness {
- public:
-  using Node = ShardedReplicaNode;
-
-  explicit ShardHarness(const ScenarioConfig& cfg)
-      : cfg_(cfg), net_(cfg.num_replicas, make_net_config(cfg.fault, cfg.seed)),
-        correct_(correct_mask(cfg.num_replicas, cfg.fault)) {
-    arm_fault_schedule(net_, cfg.fault);
-    scfg_.num_groups = std::max<std::uint32_t>(cfg.num_groups, 1);
-    scfg_.num_accounts = cfg.shard_accounts;
-    scfg_.initial_balance = kInitialBalance;
-    BlockConfig bcfg;
-    bcfg.max_ops = cfg.block_max_ops;
-    bcfg.deadline = cfg.block_deadline;
-    bcfg.pipeline_window = cfg.block_window;
-    const ExecOptions eopts{.threads = cfg.replay_threads};
-    for (ProcessId p = 0; p < cfg.num_replicas; ++p) {
-      nodes_.push_back(std::make_unique<Node>(net_, p, scfg_, bcfg, eopts,
-                                              cfg.relay_mode));
-    }
-  }
-
-  void transfer_at(ProcessId p, std::uint64_t t, AccountId src, AccountId dst,
-                   Amount v) {
-    net_.call_at(p, t, [this, p, src, dst, v] {
-      nodes_[p]->submit_transfer(src, dst, v);
-    });
-    last_submit_ = std::max(last_submit_, t);
-  }
-
-  void migrate_at(ProcessId p, std::uint64_t t, AccountId account,
-                  std::uint32_t to_group) {
-    net_.call_at(p, t, [this, p, account, to_group] {
-      nodes_[p]->submit_migrate(account, to_group);
-    });
-    last_submit_ = std::max(last_submit_, t);
-  }
-
-  ScenarioReport finish() {
-    const std::uint64_t period =
-        std::max<std::uint64_t>(cfg_.block_deadline, 1);
-    const std::uint64_t horizon = last_submit_ + 2 * period;
-    for (ProcessId p = 0; p < nodes_.size(); ++p) {
-      for (std::uint64_t t = period; t <= horizon; t += period) {
-        net_.call_at(p, t, [this, p] { nodes_[p]->on_deadline(); });
-      }
-    }
-    // The drain must CUT as well as sync: every committed 2PC stage
-    // spawns follow-up submissions (driver call_at timers firing inside
-    // the drain), and those pooled ops only propose on a deadline tick.
-    // Ten rounds of run-to-quiescence + cut cover the longest chain
-    // (prepare -> commit -> ack, or out -> in -> ack, each stage one
-    // commit plus one cut) with room for lossy retransmits.
-    const bool quiescent = drain_to_convergence(net_, [this] {
-      for (std::size_t p = 0; p < nodes_.size(); ++p) {
-        if (correct_[p]) {
-          nodes_[p]->sync();
-          nodes_[p]->on_deadline();
-        }
-      }
-    });
-
-    ScenarioReport rep;
-    const std::size_t ref = reference_replica(correct_);
-    fill_report_skeleton(rep, to_string(cfg_.workload), cfg_.fault, cfg_.seed,
-                         cfg_.num_replicas, net_.now(), net_.stats(),
-                         nodes_[ref]->history(), nodes_[ref]->ops_committed(),
-                         nodes_[ref]->last_commit_time());
-    note_quiescence(rep, quiescent);
-
-    // Agreement/settlement.  Correct replicas: the CONCATENATED history
-    // must match byte for byte.  A crashed replica stopped mid-log in
-    // every group independently, so its concatenation is not a prefix of
-    // the reference's — the prefix rule applies PER GROUP instead.
-    std::vector<std::uint64_t> lats;
-    for (std::size_t p = 0; p < nodes_.size(); ++p) {
-      if (correct_[p]) {
-        rep.submitted += nodes_[p]->submitted();
-        if (!nodes_[p]->all_settled()) {
-          rep.settled = false;
-          rep.violations.push_back("replica " + std::to_string(p) +
-                                   " has unsettled submissions");
-        }
-        if (nodes_[p]->history() != rep.history) {
-          rep.agreement = false;
-          rep.violations.push_back("replica " + std::to_string(p) +
-                                   " history diverges");
-        }
-        const auto l = nodes_[p]->commit_latencies();
-        lats.insert(lats.end(), l.begin(), l.end());
-      } else {
-        for (std::uint32_t g = 0; g < scfg_.num_groups; ++g) {
-          const std::string h = nodes_[p]->group_history(g);
-          const std::string r = nodes_[ref]->group_history(g);
-          if (r.compare(0, h.size(), h) != 0) {
-            rep.agreement = false;
-            rep.violations.push_back("crashed replica " + std::to_string(p) +
-                                     " group " + std::to_string(g) +
-                                     " history is not a prefix");
-          }
-        }
-      }
-    }
-    rep.latency = summarize_latencies(std::move(lats));
-
-    // Global conservation ACROSS groups, on every correct replica: all
-    // protocol records terminal (nothing in flight), every account owned
-    // by exactly one group, and the owned balances sum to the initial
-    // supply — a half-applied cross-shard transfer or a migration leak
-    // breaks one of the three.  The same pass checks that the 2PC driver
-    // reacted to every record's committed stage (ShardAudit::
-    // reactions_complete) — the invariant that lets it read only the
-    // txids each applied block carries.
-    const Amount expected = nodes_[ref]->expected_supply();
-    for (std::size_t p = 0; p < nodes_.size(); ++p) {
-      if (!correct_[p]) continue;
-      const ShardAudit a = nodes_[p]->audit();
-      if (!a.quiescent) {
-        rep.conservation = false;
-        rep.violations.push_back("replica " + std::to_string(p) +
-                                 ": transfers still in flight at quiescence");
-      }
-      if (!a.partitioned) {
-        rep.conservation = false;
-        rep.violations.push_back("replica " + std::to_string(p) +
-                                 ": account ownership not a partition");
-      }
-      if (a.owned_total != expected) {
-        rep.conservation = false;
-        rep.violations.push_back(
-            "replica " + std::to_string(p) + ": supply " +
-            std::to_string(a.owned_total) + " != " + std::to_string(expected));
-      }
-      if (!a.reactions_complete) {
-        rep.violations.push_back(
-            "replica " + std::to_string(p) +
-            ": driver missed a committed stage transition");
-      }
-    }
-
-    const ShardAudit a = nodes_[ref]->audit();
-    rep.groups = scfg_.num_groups;
-    rep.slots = nodes_[ref]->slots_committed();
-    rep.group_slots_max = nodes_[ref]->max_group_slots();
-    rep.proposal_bytes = nodes_[ref]->proposal_bytes();
-    rep.cross_shard_ops = a.cross_done;
-    rep.cross_shard_aborts = a.cross_aborted;
-    rep.migrations = a.migrations;
-    return rep;
-  }
-
-  static constexpr Amount kInitialBalance = 100;
-
- private:
-  ScenarioConfig cfg_;
-  ShardGroupConfig scfg_;
-  Node::Net net_;
-  std::vector<std::unique_ptr<Node>> nodes_;
-  std::vector<bool> correct_;
-  std::uint64_t last_submit_ = 0;
-};
+// -------------------------------------------------------------------------
 
 // Zipfian sharded storm: a skewed keyspace (min-of-two-uniforms pushes
 // traffic toward the low accounts) split across `num_groups` groups,
@@ -1563,9 +1129,13 @@ class ShardHarness {
 // the hottest account chasing the load.  With num_groups = 1 everything
 // is intra and no migration is scheduled — the plain-matrix degenerate.
 ScenarioReport run_erc20_zipfian_shards(const ScenarioConfig& cfg) {
-  ShardHarness h(cfg);
   const std::size_t kAccts = cfg.shard_accounts;
   const std::uint32_t groups = std::max<std::uint32_t>(cfg.num_groups, 1);
+  const ShardGroupConfig scfg{.num_groups = groups,
+                              .num_accounts = kAccts,
+                              .initial_balance = 100};
+  ShardCluster h(cfg, scfg, block_config(cfg), exec_options(cfg),
+                 cfg.relay_mode);
 
   Rng rng(cfg.seed * 1553 + 41);
   const auto skewed = [&rng, kAccts] {
@@ -1590,8 +1160,10 @@ ScenarioReport run_erc20_zipfian_shards(const ScenarioConfig& cfg) {
         } else if (dst % groups != src % groups) {
           dst = static_cast<AccountId>(dst - dst % groups + src % groups);
         }
-        h.transfer_at(p, base + k, src, dst,
-                      1 + static_cast<Amount>(rng.below(3)));
+        const auto v = 1 + static_cast<Amount>(rng.below(3));
+        h.at(p, base + k, [src, dst, v](ShardedReplicaNode& n) {
+          n.submit_transfer(src, dst, v);
+        });
       }
     }
   }
@@ -1602,12 +1174,12 @@ ScenarioReport run_erc20_zipfian_shards(const ScenarioConfig& cfg) {
     const std::size_t moves =
         std::min<std::size_t>(4, cfg.intensity / 2 + 1);
     for (std::size_t m = 0; m < moves; ++m) {
-      h.migrate_at(static_cast<ProcessId>(m % cfg.num_replicas),
-                   120 + 140 * m, 0,
-                   static_cast<std::uint32_t>((m + 1) % groups));
+      const auto to = static_cast<std::uint32_t>((m + 1) % groups);
+      h.at(static_cast<ProcessId>(m % cfg.num_replicas), 120 + 140 * m,
+           [to](ShardedReplicaNode& n) { n.submit_migrate(0, to); });
     }
   }
-  return h.finish();
+  return h.finish(nullptr, shard_extras);
 }
 
 }  // namespace

@@ -2,11 +2,16 @@
 // deterministic SimNet, with agreement + conservation checking.
 //
 // A scenario is a pure function of (workload, fault profile, seed): it
-// builds a replica cluster (ReplicaNode state machines, DynTokenNode, or
-// the broadcast asset transfer), arms a fault schedule (link loss,
+// builds a replica cluster, arms a fault schedule (link loss,
 // duplication, a partition that heals, a minority crash), drives a
 // deterministic client script through SimNet::call_at, drains the network
-// to convergence, and audits the committed histories:
+// to convergence, and audits the committed histories.  The five replica
+// runtimes (ReplicaNode, BlockReplicaNode, MultiProposerNode,
+// HybridReplicaNode, ShardedReplicaNode) present one surface,
+// ReplicaRuntime, and ride one driver, ClusterHarness, with one audit;
+// each runtime adds only its own counters and checks.  DynTokenNode, the
+// broadcast asset transfer and the hardware executor workloads keep their
+// own audits.  The audits:
 //
 //   agreement     — every correct replica's committed history is
 //                   byte-identical; a crashed replica's history is a
@@ -25,11 +30,13 @@
 #pragma once
 
 #include <algorithm>
+#include <concepts>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/error.h"
@@ -191,14 +198,6 @@ struct ScenarioConfig {
   /// fixed inside the hybrid runtime).  History-invariant like
   /// relay_mode; amortizes the per-broadcast header + signature bytes.
   std::size_t erb_batch = 1;
-  /// Hybrid workloads: slow-lane sub-block size — consensus-class ops
-  /// buffered into ONE SlowCmd proposal (net/hybrid_replica.h; the
-  /// ISSUE 10 sub-block idea on the consensus lane).  1 = the
-  /// one-command-per-slot baseline, bit-identical to the pre-sub-block
-  /// runtime.  >1 changes slot COMPOSITION (fewer, fatter barriers),
-  /// so unlike relay_mode it is not history-invariant — but the result
-  /// is still a deterministic function of (seed, fault, knobs).
-  std::size_t slow_subblock_ops = 1;
 
   // Recovery knobs (ISSUE 7; block-pipeline workloads only — see
   // net/recovery.h).  All recovery traffic is auxiliary-class, so in a
@@ -232,9 +231,6 @@ struct ScenarioConfig {
   /// Byzantine + crashed count stays within f) fork their one extra
   /// fast-lane SEND at the network layer.
   std::size_t num_equivocators = 0;
-  /// Probability gate (percent) on the fork: an equivocator's eligible
-  /// SEND is forked iff a per-seq deterministic hash lands below this.
-  std::uint32_t equivocate_pct = 100;
 
   // Multi-proposer knobs (ISSUE 10; kErc20MultiproposerStorm only — see
   // net/multi_proposer.h).  The committed history is a pure function of
@@ -271,17 +267,17 @@ struct ScenarioReport {
 
   std::size_t submitted = 0;    ///< ops submitted by correct replicas
   std::size_t committed = 0;    ///< committed entries on the reference replica
-  /// Consensus slots behind `committed` on the reference replica: equals
-  /// `committed` for one-command-per-slot workloads; for the block
-  /// pipeline it is the number of committed BLOCKS (committed/slots is
-  /// the per-slot amortization the batch-size sweep measures); for the
-  /// hybrid workloads it counts only the CONSENSUS-lane commits — zero
-  /// for a pure fast-lane run, the ISSUE 5 acceptance criterion.
+  /// Consensus slots behind `committed` on the reference replica (its
+  /// slots_committed()): equals `committed` for one-command-per-slot
+  /// workloads; for the block pipeline it is the number of committed
+  /// BLOCKS (committed/slots is the per-slot amortization the batch-size
+  /// sweep measures); for the hybrid workloads it counts only the
+  /// CONSENSUS-lane commits — zero for a pure fast-lane run.
   std::size_t slots = 0;
   /// Hybrid workloads: operations that committed through the
   /// consensus-free ERB fast lane on the reference replica (the
-  /// fast_lane_ops / consensus_slots split the lane benchmarks report);
-  /// 0 for every other workload.
+  /// fast_lane_ops / slots split the lane benchmarks report); 0 for every
+  /// other workload.
   std::size_t fast_lane_ops = 0;
   std::uint64_t sim_time = 0;   ///< simulated time at quiescence (audit incl.)
   /// Committed ops per 1000 simulated time units, measured through the
@@ -293,12 +289,14 @@ struct ScenarioReport {
   LatencySummary latency;
   NetStats net;
   /// Consensus-value bytes behind the reference replica's committed
-  /// slots (block + hybrid consensus lanes; 0 elsewhere).  With
-  /// relay_mode = kCompact this shrinks while `slots` and the history
-  /// stay fixed — the per-slot proposal-bytes drop E18 measures.
+  /// slots (block, multi-proposer, hybrid and sharded runtimes; 0
+  /// elsewhere).  With relay_mode = kCompact this shrinks while `slots`
+  /// and the history stay fixed — the per-slot proposal-bytes drop E18
+  /// measures.
   std::uint64_t proposal_bytes = 0;
-  /// Compact relay only: blocks/commands that entered the kGetOps
-  /// recover-on-miss round-trip, summed over correct replicas.
+  /// Committed references that had to fetch their payload (the kGetOps /
+  /// kGetSubs recover-on-miss round-trip), summed over correct replicas
+  /// (and, sharded, over their groups).
   std::uint64_t miss_recoveries = 0;
 
   // Recovery counters (snapshotting / crash_rejoin runs; 0 elsewhere).
@@ -387,7 +385,7 @@ NetConfig make_net_config(FaultProfile f, std::uint64_t seed);
 /// kCrashRejoin is deliberately NOT armed here: its crash + rebuild +
 /// restart needs the harness (the rejoining NODE must be reconstructed
 /// with RecoveryConfig::recover, which a net-level event cannot do), so
-/// the block harness owns that schedule.
+/// ClusterHarness::arm_rejoin owns that schedule.
 template <typename Msg>
 void arm_fault_schedule(SimNet<Msg>& net, FaultProfile f,
                         FaultTiming t = FaultTiming{}) {
@@ -488,45 +486,9 @@ inline void fill_report_skeleton(ScenarioReport& rep, std::string workload,
   rep.settled = true;
 }
 
-/// The audit every ReplicaNode cluster shares: correct replicas must be
-/// settled and byte-identical to the reference history (their latencies
-/// merge into the summary); crashed replicas must hold a prefix of it.
-/// Workload-specific invariants (conservation, race validity) stay with
-/// the caller.
-template <typename Node>
-void audit_replica_cluster(ScenarioReport& rep,
-                           const std::vector<std::unique_ptr<Node>>& nodes,
-                           const std::vector<bool>& correct) {
-  std::vector<std::uint64_t> lats;
-  for (std::size_t p = 0; p < nodes.size(); ++p) {
-    const std::string h = nodes[p]->history();
-    if (correct[p]) {
-      rep.submitted += nodes[p]->submitted();
-      if (!nodes[p]->all_settled()) {
-        rep.settled = false;
-        rep.violations.push_back("replica " + std::to_string(p) +
-                                 " has unsettled submissions");
-      }
-      if (h != rep.history) {
-        rep.agreement = false;
-        rep.violations.push_back("replica " + std::to_string(p) +
-                                 " history diverges");
-      }
-      const auto& l = nodes[p]->commit_latencies();
-      lats.insert(lats.end(), l.begin(), l.end());
-    } else if (rep.history.compare(0, h.size(), h) != 0) {
-      // A crashed replica stops mid-log; what it DID commit must be a
-      // prefix of the survivors' history.
-      rep.agreement = false;
-      rep.violations.push_back("crashed replica " + std::to_string(p) +
-                               " history is not a prefix");
-    }
-  }
-  rep.latency = summarize_latencies(std::move(lats));
-}
-
-/// The drain step every replica-cluster harness shares: run to
-/// quiescence with anti-entropy probes from the correct replicas.
+/// The drain step of the cluster harness (and of the tests' hand-built
+/// clusters): run to quiescence with anti-entropy probes from the
+/// correct replicas.
 template <typename Net, typename Node>
 [[nodiscard]] bool drain_cluster(
     Net& net, const std::vector<std::unique_ptr<Node>>& nodes,
@@ -538,42 +500,243 @@ template <typename Net, typename Node>
   });
 }
 
-/// The report step every replica-cluster harness shares: skeleton from
-/// the reference replica (`committed` is harness-specific — log length,
-/// ops replayed, ...; slots default to `committed` and block/hybrid
-/// harnesses overwrite) plus the cluster agreement/settlement audit.
-template <typename Net, typename Node>
-ScenarioReport cluster_report(const ScenarioConfig& cfg, const Net& net,
-                              const std::vector<std::unique_ptr<Node>>& nodes,
-                              const std::vector<bool>& correct,
-                              std::size_t committed) {
-  ScenarioReport rep;
-  const std::size_t ref = reference_replica(correct);
-  fill_report_skeleton(rep, to_string(cfg.workload), cfg.fault, cfg.seed,
-                       cfg.num_replicas, net.now(), net.stats(),
-                       nodes[ref]->history(), committed,
-                       nodes[ref]->log().empty()
-                           ? 0
-                           : nodes[ref]->log().back().time);
-  audit_replica_cluster(rep, nodes, correct);
-  return rep;
-}
+// ---------------------------------------------------------------------------
+// The cluster harness: one driver and one audit for every replica runtime.
+// ---------------------------------------------------------------------------
 
-/// The conservation step: `violation_of` renders a violation for one
-/// node's replicated state (through whatever surface the harness's node
-/// exposes — machine(), engine().ledger().snapshot(), ...), or nullopt
-/// when the invariant holds there.
-template <typename Node, typename Violation>
-void audit_conservation(ScenarioReport& rep,
-                        const std::vector<std::unique_ptr<Node>>& nodes,
-                        const Violation& violation_of) {
-  for (std::size_t p = 0; p < nodes.size(); ++p) {
-    if (auto v = violation_of(*nodes[p])) {
-      rep.conservation = false;
-      rep.violations.push_back("replica " + std::to_string(p) + ": " + *v);
+/// The surface the cluster harness drives.  ReplicaNode, BlockReplicaNode,
+/// MultiProposerNode, HybridReplicaNode and ShardedReplicaNode all present
+/// it under these names.  Each also has its own client intake (`submit`
+/// with the runtime's arguments, or the shard router's transfer/migrate),
+/// which the script reaches through ClusterHarness::submit_at / at.
+template <typename N>
+concept ReplicaRuntime = requires(N& n, const N& c) {
+  typename N::Net;
+  n.sync();  // anti-entropy probe, called every drain round
+  { c.submitted() } -> std::convertible_to<std::size_t>;
+  { c.all_settled() } -> std::convertible_to<bool>;
+  { c.history() } -> std::convertible_to<std::string>;
+  c.commit_latencies();
+  { c.slots_committed() } -> std::convertible_to<std::size_t>;
+  { c.ops_committed() } -> std::convertible_to<std::size_t>;
+  { c.last_commit_time() } -> std::convertible_to<std::uint64_t>;
+};
+
+/// The runtimes whose consensus values can be references (compact relay,
+/// sub-block refs) also report the consensus-value bytes behind their
+/// committed slots and how many references missed their payload.
+template <typename N>
+concept RelayingRuntime = ReplicaRuntime<N> && requires(const N& c) {
+  { c.proposal_bytes() } -> std::convertible_to<std::uint64_t>;
+  { c.miss_recoveries() } -> std::convertible_to<std::uint64_t>;
+};
+
+/// A replica cluster on SimNet under one scenario's fault profile: builds
+/// the net, the correct mask, the fault schedule and the nodes (as
+/// `Node(net, p, args...)`), schedules the workload script, drains, and
+/// audits agreement, settlement and conservation.  What a runtime adds —
+/// its own counters and audits — comes in through finish()'s `extras`.
+///
+/// The order events are scheduled in is part of the contract, because a
+/// run is a pure function of it: the fault schedule, then the nodes, then
+/// whatever the caller arms right after construction (a rejoin,
+/// equivocators), then the script's submits, then finish()'s deadline
+/// ticks.
+template <ReplicaRuntime Node>
+class ClusterHarness {
+ public:
+  using Net = typename Node::Net;
+
+  template <typename... Args>
+  explicit ClusterHarness(const ScenarioConfig& cfg, const Args&... args)
+      : cfg_(cfg),
+        net_(cfg.num_replicas, make_net_config(cfg.fault, cfg.seed)),
+        correct_(correct_mask(cfg.num_replicas, cfg.fault)) {
+    arm_fault_schedule(net_, cfg.fault);
+    for (ProcessId p = 0; p < cfg.num_replicas; ++p) {
+      nodes_.push_back(std::make_unique<Node>(net_, p, args...));
     }
   }
-}
+  // Scheduled events capture `this`.
+  ClusterHarness(const ClusterHarness&) = delete;
+  ClusterHarness& operator=(const ClusterHarness&) = delete;
+
+  const ScenarioConfig& config() const noexcept { return cfg_; }
+  Net& net() noexcept { return net_; }
+  Node& node(std::size_t p) { return *nodes_[p]; }
+  const Node& node(std::size_t p) const { return *nodes_[p]; }
+  std::size_t size() const noexcept { return nodes_.size(); }
+  bool correct(std::size_t p) const { return correct_[p]; }
+  /// The audit's reference replica (the lowest-id correct one).
+  std::size_t reference() const { return reference_replica(correct_); }
+  std::optional<ProcessId> rejoiner() const noexcept { return rejoiner_; }
+
+  /// Schedules `node.submit(args...)` at replica `p`, time `t`.  The node
+  /// is looked up when the event fires: a rejoin rebuilds it, and an event
+  /// after the restart must reach the new instance.  (The arguments are
+  /// captured flat, not through at(): every pending submit holds one
+  /// closure, and a nested one is larger.)
+  template <typename... A>
+  void submit_at(ProcessId p, std::uint64_t t, A... args) {
+    net_.call_at(p, t, [this, p, args...] { nodes_[p]->submit(args...); });
+    last_submit_ = std::max(last_submit_, t);
+  }
+
+  /// Schedules `fn(node)` at replica `p`, time `t`, looked up like
+  /// submit_at's.
+  template <typename Fn>
+  void at(ProcessId p, std::uint64_t t, Fn fn) {
+    net_.call_at(p, t, [this, p, fn] { fn(*nodes_[p]); });
+    last_submit_ = std::max(last_submit_, t);
+  }
+
+  /// Crash-rejoin: replica `p` crashes at FaultTiming::crash_at and is
+  /// restarted at rejoin_at, where `rejoin` rebuilds it through replace().
+  /// It stays in the correct set (and in settlement and latency), but the
+  /// agreement loop skips its history: the runtime's extras audit it as a
+  /// suffix of the reference's.
+  void arm_rejoin(ProcessId p, std::function<void()> rejoin) {
+    const FaultTiming t{};
+    rejoiner_ = p;
+    net_.schedule(t.crash_at, [this, p] { net_.crash(p); });
+    net_.schedule(t.rejoin_at, [this, p, rejoin = std::move(rejoin)] {
+      net_.restart(p);
+      rejoin();
+    });
+  }
+  void replace(ProcessId p, std::unique_ptr<Node> n) {
+    nodes_[p] = std::move(n);
+  }
+
+  /// The extras of a runtime that adds nothing to the shared audit.
+  struct NoExtras {
+    void operator()(ScenarioReport&, const ClusterHarness&) const {}
+  };
+
+  /// Arms the deadline ticks, drains, runs the terminal epoch, audits and
+  /// reports.  `conserve(state)` renders the workload's conservation
+  /// violation for one replica's replicated state, or nullopt; it runs on
+  /// every replica (nullptr: the extras audit conservation themselves).
+  /// `extras(rep, *this)` adds the runtime's own counters and audits.
+  template <typename Conserve, typename Extras = NoExtras>
+  ScenarioReport finish(const Conserve& conserve, const Extras& extras = {}) {
+    arm_deadlines();
+    const bool quiescent = drain_cluster(net_, nodes_, correct_);
+    if constexpr (requires(Node& n) { n.finalize(); }) {
+      // The hybrid terminal epoch.  A crashed replica cannot run
+      // anything; its history stays a prefix by construction.
+      for (std::size_t p = 0; p < nodes_.size(); ++p) {
+        if (correct_[p]) nodes_[p]->finalize();
+      }
+    }
+    const Node& ref = *nodes_[reference()];
+    ScenarioReport rep;
+    fill_report_skeleton(rep, to_string(cfg_.workload), cfg_.fault, cfg_.seed,
+                         cfg_.num_replicas, net_.now(), net_.stats(),
+                         ref.history(), ref.ops_committed(),
+                         ref.last_commit_time());
+    rep.slots = ref.slots_committed();
+    audit_agreement(rep, ref);
+    note_quiescence(rep, quiescent);
+    if constexpr (RelayingRuntime<Node>) {
+      rep.proposal_bytes = ref.proposal_bytes();
+      for (std::size_t p = 0; p < nodes_.size(); ++p) {
+        if (correct_[p]) rep.miss_recoveries += nodes_[p]->miss_recoveries();
+      }
+    }
+    extras(rep, *this);
+    if constexpr (!std::is_null_pointer_v<Conserve>) {
+      for (std::size_t p = 0; p < nodes_.size(); ++p) {
+        if (auto v = conserve(state_of(*nodes_[p]))) {
+          rep.conservation = false;
+          rep.violations.push_back("replica " + std::to_string(p) + ": " +
+                                   *v);
+        }
+      }
+    }
+    return rep;
+  }
+
+ private:
+  /// Deadline ticks for the runtimes that cut on them: every replica,
+  /// every block_deadline units (p-major), until two periods past the
+  /// last submit so every pooled op gets a cut — and with a rejoiner,
+  /// long enough past the rejoin for its post-recovery pool to get cuts.
+  void arm_deadlines() {
+    if constexpr (requires(Node& n) { n.on_deadline(); }) {
+      const std::uint64_t period =
+          std::max<std::uint64_t>(cfg_.block_deadline, 1);
+      std::uint64_t horizon = last_submit_ + 2 * period;
+      if (rejoiner_) {
+        horizon = std::max(horizon, FaultTiming{}.rejoin_at + 40 * period);
+      }
+      for (ProcessId p = 0; p < nodes_.size(); ++p) {
+        for (std::uint64_t t = period; t <= horizon; t += period) {
+          net_.call_at(p, t, [this, p] { nodes_[p]->on_deadline(); });
+        }
+      }
+    }
+  }
+
+  /// Correct replicas must be settled and byte-identical to the reference
+  /// history, and their latencies merge into the summary; a crashed
+  /// replica must hold a prefix of the reference history.
+  void audit_agreement(ScenarioReport& rep, const Node& ref) const {
+    std::vector<std::uint64_t> lats;
+    for (std::size_t p = 0; p < nodes_.size(); ++p) {
+      const Node& n = *nodes_[p];
+      const std::string who = "replica " + std::to_string(p);
+      if (!correct_[p]) {
+        if (!prefix_of(n, ref, rep.history)) {
+          rep.agreement = false;
+          rep.violations.push_back("crashed " + who +
+                                   " history is not a prefix");
+        }
+        continue;
+      }
+      rep.submitted += n.submitted();
+      const auto& l = n.commit_latencies();
+      lats.insert(lats.end(), l.begin(), l.end());
+      if (rejoiner_ == p) continue;  // suffix-audited by the extras
+      if (!n.all_settled()) {
+        rep.settled = false;
+        rep.violations.push_back(who + " has unsettled submissions");
+      }
+      if (n.history() != rep.history) {
+        rep.agreement = false;
+        rep.violations.push_back(who + " history diverges");
+      }
+    }
+    rep.latency = summarize_latencies(std::move(lats));
+  }
+
+  /// A crashed replica stops mid-log; what it did commit must be a prefix
+  /// of the survivors' history (per group, for the sharded runtime).
+  static bool prefix_of(const Node& n, const Node& ref,
+                        const std::string& ref_history) {
+    if constexpr (requires { n.history_prefix_of(ref); }) {
+      return n.history_prefix_of(ref);
+    } else {
+      return ref_history.starts_with(n.history());
+    }
+  }
+
+  /// The replicated state a conservation check reads.
+  static decltype(auto) state_of(const Node& n) {
+    if constexpr (requires { n.machine().state(); }) {
+      return n.machine().state();
+    } else {
+      return n.engine().ledger().snapshot();
+    }
+  }
+
+  ScenarioConfig cfg_;
+  Net net_;
+  std::vector<std::unique_ptr<Node>> nodes_;
+  std::vector<bool> correct_;
+  std::optional<ProcessId> rejoiner_;
+  std::uint64_t last_submit_ = 0;
+};
 
 // ---------------------------------------------------------------------------
 // Replicated token-race consensus, end-to-end over the network — the
@@ -596,63 +759,48 @@ ScenarioReport run_token_race_scenario(std::size_t k, FaultProfile fault,
                                        std::uint64_t seed,
                                        const std::string& name,
                                        Spec spec = Spec{}) {
-  using Node = ReplicaNode<RaceSM<Spec>>;
-  typename Node::Net net(k, make_net_config(fault, seed));
-  arm_fault_schedule(net, fault);
-
-  std::vector<std::unique_ptr<Node>> nodes;
-  for (ProcessId p = 0; p < k; ++p) {
-    nodes.push_back(
-        std::make_unique<Node>(net, p, RaceSM<Spec>(k, spec)));
-  }
-  const auto correct = correct_mask(k, fault);
+  ScenarioConfig cfg;
+  cfg.fault = fault;
+  cfg.seed = seed;
+  cfg.num_replicas = k;
+  ClusterHarness<ReplicaNode<RaceSM<Spec>>> h(cfg, RaceSM<Spec>(k, spec));
 
   // proposal_i = 100 + i; write well before racing so the per-origin FIFO
   // of the broadcast puts every register write ahead of its race step.
   for (ProcessId p = 0; p < k; ++p) {
-    Node* node = nodes[p].get();
     const Amount proposal = 100 + p;
-    net.call_at(p, 5 + p, [node, proposal] {
-      node->submit(RaceCmd::write(proposal));
-    });
-    net.call_at(p, 60 + 3 * p, [node] { node->submit(RaceCmd::race()); });
+    h.submit_at(p, 5 + p, RaceCmd::write(proposal));
+    h.submit_at(p, 60 + 3 * p, RaceCmd::race());
   }
-
-  const bool quiescent = drain_cluster(net, nodes, correct);
-
-  ScenarioReport rep;
-  const std::size_t ref = reference_replica(correct);
-  fill_report_skeleton(rep, name, fault, seed, k, net.now(), net.stats(),
-                       nodes[ref]->history(), nodes[ref]->log().size(),
-                       nodes[ref]->log().empty()
-                           ? 0
-                           : nodes[ref]->log().back().time);
-  note_quiescence(rep, quiescent);
-  audit_replica_cluster(rep, nodes, correct);
 
   // Cross-participant agreement on the decided value, and validity.
-  // (Conservation stays at the skeleton's "clean": the race state is the
-  // whole object; there is nothing to conserve beyond agreement on it.)
-  std::optional<Amount> decided;
-  for (ProcessId i = 0; i < k; ++i) {
-    const auto d = nodes[ref]->machine().decision(i);
-    if (!d) continue;
-    if (d->bottom) {
-      rep.violations.push_back("participant " + std::to_string(i) +
+  // (There is no conservation check: the race state is the whole object;
+  // there is nothing to conserve beyond agreement on it.)
+  ScenarioReport rep = h.finish(nullptr, [k](ScenarioReport& r,
+                                             const auto& c) {
+    const auto& machine = c.node(c.reference()).machine();
+    std::optional<Amount> decided;
+    for (ProcessId i = 0; i < k; ++i) {
+      const auto d = machine.decision(i);
+      if (!d) continue;
+      if (d->bottom) {
+        r.violations.push_back("participant " + std::to_string(i) +
                                " decided bottom");
-      continue;
-    }
-    if (!decided) decided = d->value;
-    if (*decided != d->value) {
-      rep.violations.push_back("participants disagree: " +
+        continue;
+      }
+      if (!decided) decided = d->value;
+      if (*decided != d->value) {
+        r.violations.push_back("participants disagree: " +
                                std::to_string(*decided) + " vs " +
                                std::to_string(d->value));
-    }
-    if (d->value < 100 || d->value >= 100 + k) {
-      rep.violations.push_back("decided value " + std::to_string(d->value) +
+      }
+      if (d->value < 100 || d->value >= 100 + k) {
+        r.violations.push_back("decided value " + std::to_string(d->value) +
                                " was never proposed");
+      }
     }
-  }
+  });
+  rep.workload = name;
   return rep;
 }
 

@@ -200,7 +200,7 @@ TEST(Quarantine, ProvenEquivocatorEscalatesToConsensus) {
     EXPECT_TRUE(c.nodes[p]->is_quarantined(3)) << "node " << p;
     // Exactly the escalated transfer went through consensus; both the
     // surviving respend branch and the escalated op are in the history.
-    EXPECT_EQ(c.nodes[p]->consensus_slots(), 1u) << "node " << p;
+    EXPECT_EQ(c.nodes[p]->slots_committed(), 1u) << "node " << p;
     EXPECT_TRUE(c.nodes[p]->all_settled()) << "node " << p;
     EXPECT_EQ(c.nodes[p]->history(), c.nodes[0]->history()) << "node " << p;
     EXPECT_EQ(c.nodes[p]->equivocation_commits(), 1u) << "node " << p;
@@ -221,7 +221,7 @@ TEST(Quarantine, EquivocatorIsAlsoAProposer) {
   for (ProcessId p = 0; p < DirectCluster::kN; ++p) {
     ASSERT_EQ(c.nodes[p]->conflict_proofs().size(), 1u) << "node " << p;
     EXPECT_TRUE(c.nodes[p]->is_quarantined(3)) << "node " << p;
-    EXPECT_EQ(c.nodes[p]->consensus_slots(), 1u) << "node " << p;
+    EXPECT_EQ(c.nodes[p]->slots_committed(), 1u) << "node " << p;
     EXPECT_TRUE(c.nodes[p]->all_settled()) << "node " << p;
     EXPECT_EQ(c.nodes[p]->history(), c.nodes[0]->history()) << "node " << p;
   }

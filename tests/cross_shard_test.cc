@@ -66,16 +66,13 @@ struct Cluster {
     }
   }
 
-  /// Runs to quiescence with cut+sync rounds on the given replicas —
-  /// each round flushes the reaction-chain submissions the previous
-  /// round's commits spawned.
+  /// Runs to quiescence with sync rounds (each also a cut) on the given
+  /// replicas — each round flushes the reaction-chain submissions the
+  /// previous round's commits spawned.
   void drain(const std::vector<bool>& correct, int rounds = 12) {
     EXPECT_TRUE(drain_to_convergence(net, [this, &correct] {
       for (std::size_t p = 0; p < nodes.size(); ++p) {
-        if (correct[p]) {
-          nodes[p]->sync();
-          nodes[p]->on_deadline();
-        }
+        if (correct[p]) nodes[p]->sync();
       }
     }, 4'000'000, rounds));
   }
@@ -296,10 +293,10 @@ ScenarioConfig shard_cfg(FaultProfile f, std::uint32_t groups,
   return cfg;
 }
 
-/// The harness audit covers reaction completeness too: ShardHarness::
-/// finish records "driver missed a committed stage transition" for any
-/// correct replica whose ShardAudit::reactions_complete is false, so the
-/// violation loop below fails on it.
+/// The harness audit covers reaction completeness too: the sharded
+/// runtime's extras record "driver missed a committed stage transition"
+/// for any correct replica whose ShardAudit::reactions_complete is false,
+/// so the violation loop below fails on it.
 void expect_ok(const ScenarioReport& rep) {
   EXPECT_TRUE(rep.agreement) << rep.summary();
   EXPECT_TRUE(rep.conservation) << rep.summary();

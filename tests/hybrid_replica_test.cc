@@ -192,42 +192,5 @@ TEST(HybridBaseline, FastLaneCutsMessagesAndSlots) {
   EXPECT_LT(fast.net.sent, base.net.sent);    // ERB ≪ Paxos traffic
 }
 
-// --- Slow-lane sub-blocks: the ISSUE 10 option on the consensus lane -----
-
-TEST(HybridSlowSubblock, BatchedConsensusLaneCommitsInFewerSlots) {
-  auto base = cfg(Workload::kErc20FastlaneStorm, FaultProfile::kNone);
-  base.hybrid_force_consensus = true;  // every op rides the slow lane
-  auto batched = base;
-  batched.slow_subblock_ops = 4;
-  const auto one = run_scenario(base);
-  const auto sub = run_scenario(batched);
-  expect_ok(one);
-  expect_ok(sub);
-  EXPECT_EQ(one.committed, sub.committed);  // same storm, both lanes slow
-  EXPECT_EQ(one.slots, one.committed);      // baseline: one slot per op
-  EXPECT_LT(sub.slots, one.slots);          // sub-blocks amortize slots
-  EXPECT_LT(sub.net.bytes_sent, one.net.bytes_sent);
-}
-
-TEST(HybridSlowSubblock, DeterministicUnderFaultsThreadsAndCompactRelay) {
-  for (const RelayMode mode : {RelayMode::kFull, RelayMode::kCompact}) {
-    auto c = cfg(Workload::kMixedSyncTiers, FaultProfile::kLossyDup);
-    c.slow_subblock_ops = 3;
-    c.relay_mode = mode;
-    const auto ref = run_scenario(c);
-    expect_ok(ref);
-    EXPECT_GT(ref.slots, 0u);
-    for (const std::size_t threads : {2u, 8u}) {
-      auto ct = c;
-      ct.replay_threads = threads;
-      const auto rep = run_scenario(ct);
-      expect_ok(rep);
-      EXPECT_EQ(rep.history, ref.history)
-          << "relay=" << static_cast<int>(mode) << " threads=" << threads;
-      EXPECT_EQ(rep.slots, ref.slots);
-    }
-  }
-}
-
 }  // namespace
 }  // namespace tokensync

@@ -128,8 +128,8 @@ TEST(SnapshotCodec, AllSpecsRoundtrip) {
 }
 
 // ---------------------------------------------------------------------------
-// crash_rejoin end to end (through the scenario harness, whose
-// rejoin_report pins the suffix agreement AND the snapshot-hash match).
+// crash_rejoin end to end (through the scenario harness, whose block
+// extras pin the suffix agreement AND the snapshot-hash match).
 // ---------------------------------------------------------------------------
 
 TEST(CrashRejoin, RecoversFromSnapshotPlusSuffix) {
@@ -154,7 +154,7 @@ TEST(CrashRejoin, FromEmptyReplaysWholeRetainedLog) {
   EXPECT_EQ(rep.snapshot_bytes, 0u);
   EXPECT_EQ(rep.pruned_slots, 0u);
   // No install boundary => the catch-up replay covered committed ops
-  // (the rejoin_report already pinned the FULL history match).
+  // (the harness audit already pinned the FULL history match).
   EXPECT_GT(rep.catchup_ops, 0u);
 }
 
@@ -337,7 +337,7 @@ TEST(RecoveryEdge, RejoinAtCoveringBoundaryReplaysNothing) {
   EXPECT_TRUE(rj.all_settled());
   EXPECT_GT(rj.install_slot(), 0u);
   EXPECT_EQ(rj.catchup_ops(), 0u);
-  EXPECT_EQ(rj.install_slot(), c.nodes[0]->blocks_committed());
+  EXPECT_EQ(rj.install_slot(), c.nodes[0]->slots_committed());
   EXPECT_EQ(rj.history(), c.nodes[0]->history_from(rj.install_slot()));
   EXPECT_TRUE(rj.history().empty());  // nothing after the boundary
 }

@@ -219,6 +219,25 @@ TEST(ScenarioShards, FourGroupsSameSeedSameBytes) {
   EXPECT_EQ(a.group_slots_max, b.group_slots_max);
 }
 
+// A compact-relay sharded run reports the recover-on-miss round trips of
+// every group of every correct replica; full relay never misses.
+TEST(ScenarioShards, CompactRelayReportsMissRecoveries) {
+  for (const RelayMode mode : {RelayMode::kCompact, RelayMode::kFull}) {
+    auto c = cfg(Workload::kErc20ZipfianShards, FaultProfile::kLossyLinks,
+                 /*seed=*/1);
+    c.intensity = 6;
+    c.num_groups = 2;
+    c.relay_mode = mode;
+    const auto rep = run_scenario(c);
+    expect_ok(rep);
+    if (mode == RelayMode::kCompact) {
+      EXPECT_GT(rep.miss_recoveries, 0u);
+    } else {
+      EXPECT_EQ(rep.miss_recoveries, 0u);
+    }
+  }
+}
+
 // --- The replicated token race: any TokenRaceSpec end-to-end over the
 // --- network, agreement + validity under faults.
 
