@@ -69,6 +69,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <string>
@@ -297,8 +298,13 @@ class BlockReplicaNode {
   /// Ops applied while recovering (snapshot install excluded — that is
   /// what the snapshot SAVED replaying).
   std::uint64_t catchup_ops() const noexcept { return catchup_ops_; }
-  /// Serialized size of the newest snapshot cut or installed here.
-  std::uint64_t snapshot_bytes() const noexcept { return snapshot_bytes_; }
+  /// Serialized size of the newest snapshot cut or installed here (0 =
+  /// none).  Serializes that snapshot on every call: a report-time
+  /// figure, not a per-slot one.
+  std::uint64_t snapshot_bytes() const {
+    const Snap* snap = recovery_.store().newest();
+    return snap ? snap->serialize().size() : 0;
+  }
   std::size_t snapshots_cut() const noexcept { return snapshots_cut_; }
   std::uint64_t pruned_slots() const noexcept { return tob_.pruned_slots(); }
   std::size_t retained_slots() const noexcept {
@@ -372,6 +378,9 @@ class BlockReplicaNode {
       fresh.ops.reserve(blk->ops.size());
       for (std::size_t i = 0; i < blk->ops.size(); ++i) {
         if (applied_ids_.insert(h.value.ids[i]).second) {
+          if (rcfg_.snapshot_interval > 0) {
+            applied_delta_.push_back(h.value.ids[i]);
+          }
           fresh.ops.push_back(std::move(blk->ops[i]));
         }
       }
@@ -399,14 +408,36 @@ class BlockReplicaNode {
     snap.next_slot = boundary;
     snap.state = engine_->ledger().snapshot();
     snap.origin_frontier = tob_.origin_frontiers();
-    snap.applied_ids.assign(applied_ids_.begin(), applied_ids_.end());
-    std::sort(snap.applied_ids.begin(), snap.applied_ids.end());
+    snap.applied_ids = merge_applied_delta();
     snap.pool_residue = pool_.peek_tagged();
-    snapshot_bytes_ = snap.serialize().size();
     recovery_.store().add(std::move(snap));
     ++snapshots_cut_;
     recovery_.mark(boundary);
     if (rcfg_.prune) tob_.truncate_below(recovery_.prune_floor());
+  }
+
+  /// The cut's sorted applied-id list (DESIGN.md §13.1): the newest
+  /// retained snapshot — this node's previous cut, or the one it
+  /// installed — already holds every id applied up to its boundary, so
+  /// only the ids applied since need sorting before one sequential
+  /// merge.  Checked on the way out: strictly increasing (sorted, and no
+  /// id in both the delta and its base) and exactly as long as the dedup
+  /// filter every one of its ids came from.
+  std::vector<OpId> merge_applied_delta() {
+    const Snap* base = recovery_.store().newest();
+    const std::vector<OpId> none;
+    const std::vector<OpId>& prev = base ? base->applied_ids : none;
+    std::sort(applied_delta_.begin(), applied_delta_.end());
+    std::vector<OpId> merged;
+    merged.reserve(prev.size() + applied_delta_.size());
+    std::merge(prev.begin(), prev.end(), applied_delta_.begin(),
+               applied_delta_.end(), std::back_inserter(merged));
+    applied_delta_.clear();
+    TS_ENSURES(std::adjacent_find(merged.begin(), merged.end(),
+                                  std::greater_equal<OpId>()) ==
+               merged.end());
+    TS_ENSURES(merged.size() == applied_ids_.size());
+    return merged;
   }
 
   /// A kSnapReply arrived.  Install-if-virgin: the snapshot is adopted
@@ -431,13 +462,15 @@ class BlockReplicaNode {
                           tob_.delivered_count() <= snap.next_slot &&
                           snap.next_slot > install_slot_;
       if (virgin) {
+        // Nothing applied yet, so no cut delta either: the installed
+        // snapshot, now the store's newest, is the next cut's merge base.
+        TS_ASSERT(applied_delta_.empty());
         engine_ = std::make_unique<ReplayEngine<S>>(snap.state, eopts_);
         applied_ids_.clear();
         applied_ids_.insert(snap.applied_ids.begin(),
                             snap.applied_ids.end());
         install_slot_ = snap.next_slot;
         installed_hash_ = snap.content_hash();
-        snapshot_bytes_ = bytes.size();
         recovery_.store().add(snap);
         // Mark the install boundary: it holds the prune floor at or
         // below our position until we are caught up (and tells peers we
@@ -513,11 +546,14 @@ class BlockReplicaNode {
   /// OpIds the committed history has applied (snapshot-seeded on a
   /// rejoiner) — the apply-time dedup filter's key set.
   std::unordered_set<OpId> applied_ids_;
+  /// Ids newly inserted into applied_ids_ since the newest retained
+  /// snapshot, in apply order (snapshotting runs only; the next cut
+  /// sorts and merges them).
+  std::vector<OpId> applied_delta_;
   bool recovering_ = false;
   bool have_target_ = false;
   std::uint64_t target_frontier_ = 0;
   std::uint64_t catchup_ops_ = 0;
-  std::uint64_t snapshot_bytes_ = 0;
   std::uint64_t install_slot_ = 0;
   std::uint64_t installed_hash_ = 0;
   std::size_t snapshots_cut_ = 0;

@@ -434,7 +434,7 @@ class MultiProposerNode {
   /// it until committed, publish eagerly, wake the pacing.
   void adopt_own(Sub s) {
     exchange_.add_local(s);
-    known_refs_.emplace(std::make_pair(s.origin, s.sub_seq), s.ref());
+    note_uncovered(s.ref());
     own_pending_.emplace(s.id(), net_.now() + cfg_.republish_after);
     exchange_.publish(s);
     maybe_arm_propose();
@@ -443,27 +443,29 @@ class MultiProposerNode {
   /// A peer's sub-block arrived (publish or fetch reply): register its
   /// reference, retry the parked head, wake the pacing.
   void on_subblock(const Sub& s) {
-    known_refs_.emplace(std::make_pair(s.origin, s.sub_seq), s.ref());
+    note_uncovered(s.ref());
     try_apply();
     maybe_arm_propose();
   }
 
+  /// A reference whose payload is now local becomes a proposal
+  /// candidate — unless a delivered slot already covers it (its
+  /// reference can commit before the payload arrives here).
+  void note_uncovered(const SubBlockRef& r) {
+    if (known_committed_.contains(r.block_id)) return;
+    uncovered_.emplace(std::make_pair(r.origin, r.sub_seq), r);
+  }
+
   /// Known-but-uncommitted references, in canonical (origin, sub_seq)
-  /// order by construction (known_refs_ is keyed by it — no sort).
+  /// order by construction (uncovered_ is keyed by it — no sort).
   std::vector<SubBlockRef> collect_uncovered() const {
     std::vector<SubBlockRef> refs;
-    for (const auto& [key, ref] : known_refs_) {
-      if (!known_committed_.contains(ref.block_id)) refs.push_back(ref);
-    }
+    refs.reserve(uncovered_.size());
+    for (const auto& [key, ref] : uncovered_) refs.push_back(ref);
     return refs;
   }
 
-  bool has_uncovered() const {
-    for (const auto& [key, ref] : known_refs_) {
-      if (!known_committed_.contains(ref.block_id)) return true;
-    }
-    return false;
-  }
+  bool has_uncovered() const { return !uncovered_.empty(); }
 
   /// Re-publishes own sub-blocks still unreferenced by any delivered
   /// slot, at most once per republish_after ticks each (heals lost
@@ -532,6 +534,7 @@ class MultiProposerNode {
     (void)nonce;
     for (const SubBlockRef& r : v.refs) {
       known_committed_.insert(r.block_id);
+      uncovered_.erase(std::make_pair(r.origin, r.sub_seq));
     }
     last_decided_at_ = net_.now();
     if (origin == self_) proposal_outstanding_ = false;
@@ -608,9 +611,9 @@ class MultiProposerNode {
   Exchange exchange_;
   ReplicaCore core_;
   std::deque<Parked> parked_;
-  /// References with a LOCAL payload, canonical order — the proposal
-  /// candidate set.
-  std::map<std::pair<ProcessId, std::uint32_t>, SubBlockRef> known_refs_;
+  /// References with a LOCAL payload that no delivered slot covers yet,
+  /// canonical order — the proposal candidate set.
+  std::map<std::pair<ProcessId, std::uint32_t>, SubBlockRef> uncovered_;
   /// Sub-block ids referenced by any DELIVERED slot (including parked
   /// ones) — the proposal/re-publish "already ordered" filter.  Local
   /// knowledge only; the committed-prefix filters below are what

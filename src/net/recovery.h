@@ -116,6 +116,13 @@ class SnapshotStore {
     return it->second.content_hash();
   }
 
+  /// The snapshot with the highest boundary, or nullptr.  On a block
+  /// replica that is its previous cut or the snapshot it installed:
+  /// the next cut's applied-id merge base (DESIGN.md §13.1).
+  const Snapshot<S>* newest() const {
+    return snaps_.empty() ? nullptr : &snaps_.rbegin()->second;
+  }
+
   std::size_t size() const noexcept { return snaps_.size(); }
   std::uint64_t newest_slot() const noexcept {
     return snaps_.empty() ? 0 : snaps_.rbegin()->first;

@@ -134,6 +134,12 @@ TEST(MultiProposerRecovery, ForcedMissFetchesEverySubBlock) {
     EXPECT_EQ(nodes[p]->history(), nodes[0]->history()) << "replica " << p;
     EXPECT_EQ(nodes[p]->engine().ledger().snapshot().total_supply(),
               static_cast<Amount>(kAccts * 100));
+    // A peer's payload arrives here only AFTER its reference committed
+    // (fetched, never published), so it must not become a proposal
+    // candidate again: no reference commits twice, and the 16 ops take
+    // exactly 3 slots.
+    EXPECT_EQ(nodes[p]->dup_refs_dropped(), 0u) << "replica " << p;
+    EXPECT_EQ(nodes[p]->slots_committed(), 3u) << "replica " << p;
     recoveries += nodes[p]->exchange().miss_recoveries();
   }
   EXPECT_EQ(nodes[0]->ops_committed(), 16u);

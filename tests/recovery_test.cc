@@ -10,11 +10,13 @@
 //   * rejoin-from-empty — snapshot_interval = 0 leaves nothing to
 //     install: the rejoiner replays the WHOLE retained log from slot 0;
 //   * the stale-snapshot variant — a stale first install is superseded;
-//   * edge cases — rejoin inside an active partition, rejoin exactly at
-//     a fully-covering boundary (zero catch-up ops), a snapshot cut
-//     racing a deadline block cut across replay thread counts, and
-//     prune-then-query (the kPruned redirect re-aims the fetch instead
-//     of stalling);
+//   * edge cases — rejoin inside an active partition, cuts after an
+//     install (every later cut of the rejoiner hashes equal to a
+//     survivor's at the same boundary, across a racing double submit),
+//     rejoin exactly at a fully-covering boundary (zero catch-up ops), a
+//     snapshot cut racing a deadline block cut across replay thread
+//     counts, and prune-then-query (the kPruned redirect re-aims the
+//     fetch instead of stalling);
 //   * snapshot invariance — all recovery traffic is auxiliary-class, so
 //     in a run where nobody rejoins the committed history is invariant
 //     to snapshot_interval and prune;
@@ -99,6 +101,11 @@ TEST(SnapshotCodec, RoundtripsAndHashCoversExactlyTheCore) {
   Snap respent = back;
   respent.state.set_balance(0, 49);
   EXPECT_NE(s.content_hash(), respent.content_hash());
+  Snap reapplied = back;
+  reapplied.applied_ids[0] = make_op_id(1, 5);
+  std::sort(reapplied.applied_ids.begin(), reapplied.applied_ids.end());
+  ASSERT_NE(back.applied_ids, reapplied.applied_ids);
+  EXPECT_NE(s.content_hash(), reapplied.content_hash());
 }
 
 TEST(SnapshotCodec, AllSpecsRoundtrip) {
@@ -316,6 +323,53 @@ TEST(RecoveryEdge, RejoinInsideActivePartitionHealsAfter) {
   const auto want = c.nodes[0]->recovery().store().hash_at(rj.install_slot());
   ASSERT_TRUE(want.has_value());
   EXPECT_EQ(*want, rj.installed_snapshot_hash());
+}
+
+// Cuts after an install: a cut's applied-id list is the newest retained
+// snapshot's list merged with the ids applied since, and on a rejoiner
+// that base is the INSTALLED snapshot.  Every boundary the rejoiner cuts
+// past its install must hash equal to replica 0's cut there — including
+// the cuts after a racing double submit, whose second occurrence the
+// apply filter drops and the cut must not list twice.
+TEST(RecoveryEdge, CutsAfterInstallHashEqualToSurvivors) {
+  RecoveryConfig rcfg;
+  rcfg.snapshot_interval = 2;
+  Cluster c(rcfg);
+  for (ProcessId p = 0; p < 3; ++p) c.drip(p, 5, 300, 7);
+  c.deadlines(600);
+  c.net.schedule(45, [&c] { c.net.crash(3); });
+  c.net.schedule(120, [&c] { c.rejoin(3); });
+  // The same identity through two replicas in the same deadline period:
+  // both pools accept it, two blocks carry it, one occurrence applies.
+  const OpId id = make_op_id(/*origin=*/2, /*seq=*/1000);
+  for (ProcessId p = 0; p < 2; ++p) {
+    c.net.call_at(p, 221 + p, [&c, p, id] {
+      EXPECT_TRUE(c.nodes[p]->submit_tagged(id, 2, Erc20Op::transfer(3, 7)));
+    });
+  }
+  c.drain();
+
+  const Node& rj = *c.nodes[3];
+  ASSERT_FALSE(rj.recovering());
+  ASSERT_GT(rj.install_slot(), 0u);
+  std::size_t submitted = 0;
+  for (ProcessId p = 0; p < 3; ++p) submitted += c.nodes[p]->submitted();
+  EXPECT_EQ(c.nodes[0]->ops_committed() + 1, submitted);
+  EXPECT_EQ(rj.history(), c.nodes[0]->history_from(rj.install_slot()));
+
+  const auto& mine = rj.recovery().store();
+  const auto& ref = c.nodes[0]->recovery().store();
+  std::size_t compared = 0;
+  for (std::uint64_t b = rj.install_slot() + 1; b <= mine.newest_slot();
+       ++b) {
+    const auto got = mine.hash_at(b);
+    if (!got) continue;
+    const auto want = ref.hash_at(b);
+    ASSERT_TRUE(want.has_value()) << "boundary " << b;
+    EXPECT_EQ(*want, *got) << "boundary " << b;
+    ++compared;
+  }
+  EXPECT_GE(compared, 10u);
 }
 
 // Rejoin exactly at a fully-covering boundary: all traffic stops well
