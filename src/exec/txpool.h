@@ -11,10 +11,12 @@
 // Relay identity (ISSUE 6): every pooled operation carries an OpId —
 // either assigned at intake (hash of this pool's origin replica and a
 // local sequence number, common/wire.h) or supplied by the caller
-// (submit_tagged).  The pool keeps an id-keyed index that SURVIVES
-// draining: the compact relay reconstructs committed op-ID blocks from
-// this index in O(1) per id, and a double-submit of an already-known id
-// is rejected at intake instead of relying on downstream dedup.
+// (submit_tagged).  The pool is ONE insertion-ordered OpIdMap
+// (common/opid_table.h) plus a drained cursor: the pending ops are the
+// tail past the cursor, and the drained prefix stays indexed — the
+// compact relay reconstructs committed op-ID blocks from it in O(1) per
+// id, and a double-submit of an already-known id is rejected at intake
+// instead of relying on downstream dedup.
 //
 // The lock is a single mutex, not a sharded structure: intake is not the
 // hot path (one push per op vs. one footprint + locks + Δ per op on the
@@ -25,14 +27,14 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <mutex>
-#include <unordered_map>
+#include <optional>
 #include <utility>
 #include <vector>
 
 #include "atomic/ledger.h"
 #include "common/ids.h"
+#include "common/opid_table.h"
 #include "common/wire.h"
 
 namespace tokensync {
@@ -52,12 +54,13 @@ class TxPool {
     origin_ = origin;
   }
 
-  /// Enqueues `op` on behalf of `caller` under a fresh OpId (returned).
+  /// Enqueues `op` on behalf of `caller` under a fresh OpId (returned);
+  /// if a caller-supplied id already took that OpId, pools nothing.
   /// Thread-safe.
   OpId submit(ProcessId caller, Op op) {
     const std::scoped_lock lk(mu_);
     const OpId id = make_op_id(origin_, next_seq_++);
-    enqueue(id, BatchOp{caller, std::move(op)});
+    ops_.try_emplace(id, id, BatchOp{caller, std::move(op)});
     return id;
   }
 
@@ -66,18 +69,16 @@ class TxPool {
   /// Thread-safe.
   bool submit_tagged(OpId id, ProcessId caller, Op op) {
     const std::scoped_lock lk(mu_);
-    if (index_.contains(id)) return false;
-    enqueue(id, BatchOp{caller, std::move(op)});
-    return true;
+    return ops_.try_emplace(id, id, BatchOp{caller, std::move(op)});
   }
 
   /// O(1) lookup by OpId over every operation this pool has ever
-  /// accepted — drained or not (reconstruction needs drained ops).  The
-  /// pointer stays valid for the pool's lifetime (node-based map).
-  const BatchOp* lookup(OpId id) const {
+  /// accepted — drained or not (reconstruction needs drained ops).
+  /// Returns a copy taken under the lock.  Thread-safe.
+  std::optional<BatchOp> lookup(OpId id) const {
     const std::scoped_lock lk(mu_);
-    const auto it = index_.find(id);
-    return it == index_.end() ? nullptr : &it->second;
+    if (const Tagged* t = ops_.find(id)) return t->op;
+    return std::nullopt;
   }
 
   /// Removes and returns up to `max_ops` operations in submission order.
@@ -92,36 +93,31 @@ class TxPool {
   /// cut announces and proposes.
   std::vector<Tagged> drain_tagged(std::size_t max_ops = SIZE_MAX) {
     const std::scoped_lock lk(mu_);
-    const std::size_t n = std::min(max_ops, q_.size());
-    std::vector<Tagged> batch;
-    batch.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      batch.push_back(std::move(q_.front()));
-      q_.pop_front();
-    }
+    const std::size_t n = std::min(max_ops, ops_.size() - drained_);
+    const auto first = ops_.values().begin() + drained_;
     drained_ += n;
-    return batch;
+    return {first, first + n};
   }
 
   /// Copy of the un-drained tail in submission order — the pool residue
   /// a snapshot carries (exec/snapshot.h) so a replica restoring its own
   /// cut gets its intake back.  Note the dedup split: this pool rejects
-  /// re-submission of any id it has ever SEEN (index_), while dedup
-  /// against ids already APPLIED by the replicated history — the ids a
-  /// restarted pool has never seen — lives in the replica runtime
+  /// re-submission of any id it has ever SEEN, while dedup against ids
+  /// already APPLIED by the replicated history — the ids a restarted
+  /// pool has never seen — lives in the replica runtime
   /// (net/block_replica.h applied-id filter).
   std::vector<Tagged> peek_tagged() const {
     const std::scoped_lock lk(mu_);
-    return {q_.begin(), q_.end()};
+    return {ops_.values().begin() + drained_, ops_.values().end()};
   }
 
   std::size_t pending() const {
     const std::scoped_lock lk(mu_);
-    return q_.size();
+    return ops_.size() - drained_;
   }
   std::size_t submitted() const {
     const std::scoped_lock lk(mu_);
-    return submitted_;
+    return ops_.size();
   }
   std::size_t drained() const {
     const std::scoped_lock lk(mu_);
@@ -129,18 +125,11 @@ class TxPool {
   }
 
  private:
-  void enqueue(OpId id, BatchOp b) {
-    index_.emplace(id, b);
-    q_.push_back(Tagged{id, std::move(b)});
-    ++submitted_;
-  }
-
   mutable std::mutex mu_;
   ProcessId origin_ = 0;
   std::uint64_t next_seq_ = 0;
-  std::deque<Tagged> q_;
-  std::unordered_map<OpId, BatchOp> index_;  // survives draining
-  std::size_t submitted_ = 0;
+  /// Every accepted op in submission order; [0, drained_) is cut.
+  OpIdMap<Tagged> ops_;
   std::size_t drained_ = 0;
 };
 

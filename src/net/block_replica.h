@@ -73,7 +73,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -81,6 +80,7 @@
 #include "atomic/ledger.h"
 #include "common/error.h"
 #include "common/ids.h"
+#include "common/opid_table.h"
 #include "common/wire.h"
 #include "exec/block.h"
 #include "exec/replay_engine.h"
@@ -377,7 +377,7 @@ class BlockReplicaNode {
       Block<S> fresh;
       fresh.ops.reserve(blk->ops.size());
       for (std::size_t i = 0; i < blk->ops.size(); ++i) {
-        if (applied_ids_.insert(h.value.ids[i]).second) {
+        if (applied_ids_.insert(h.value.ids[i])) {
           if (rcfg_.snapshot_interval > 0) {
             applied_delta_.push_back(h.value.ids[i]);
           }
@@ -467,8 +467,7 @@ class BlockReplicaNode {
         TS_ASSERT(applied_delta_.empty());
         engine_ = std::make_unique<ReplayEngine<S>>(snap.state, eopts_);
         applied_ids_.clear();
-        applied_ids_.insert(snap.applied_ids.begin(),
-                            snap.applied_ids.end());
+        for (const OpId id : snap.applied_ids) applied_ids_.insert(id);
         install_slot_ = snap.next_slot;
         installed_hash_ = snap.content_hash();
         recovery_.store().add(snap);
@@ -506,13 +505,13 @@ class BlockReplicaNode {
     Block<S> blk;
     blk.ops.reserve(v.ids.size());
     for (OpId id : v.ids) {
-      const BatchOp* op = pool_.lookup(id);
-      if (!op) op = relay_.find(id);
-      if (!op) {
+      if (std::optional<BatchOp> op = pool_.lookup(id)) {
+        blk.ops.push_back(std::move(*op));
+      } else if (const BatchOp* relayed = relay_.find(id)) {
+        blk.ops.push_back(*relayed);
+      } else {
         missing.push_back(id);
-        continue;
       }
-      blk.ops.push_back(*op);
     }
     if (!missing.empty()) return std::nullopt;
     return blk;
@@ -545,7 +544,7 @@ class BlockReplicaNode {
   std::uint64_t proposal_bytes_ = 0;
   /// OpIds the committed history has applied (snapshot-seeded on a
   /// rejoiner) — the apply-time dedup filter's key set.
-  std::unordered_set<OpId> applied_ids_;
+  OpIdSet applied_ids_;
   /// Ids newly inserted into applied_ids_ since the newest retained
   /// snapshot, in apply order (snapshotting runs only; the next cut
   /// sorts and merges them).

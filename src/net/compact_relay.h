@@ -42,12 +42,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/error.h"
 #include "common/ids.h"
+#include "common/opid_table.h"
 #include "common/wire.h"
 #include "net/recover_on_miss.h"
 
@@ -125,7 +125,7 @@ class RelayEndpoint {
   /// Proposer intake: remember the ops locally (to serve kGetOps — and
   /// to reconstruct our own proposals) and announce them to every peer.
   void announce(const std::vector<TaggedOp<B>>& ops) {
-    for (const TaggedOp<B>& t : ops) store_.emplace(t.id, t.op);
+    for (const TaggedOp<B>& t : ops) store_.try_emplace(t.id, t.op);
     if (!announce_enabled_) return;  // test hook: force universal misses
     Msg m;
     m.type = Msg::Type::kAnnounce;
@@ -136,10 +136,8 @@ class RelayEndpoint {
   }
 
   /// O(1) store lookup; nullptr when this replica has never seen `id`.
-  const B* find(OpId id) const {
-    const auto it = store_.find(id);
-    return it == store_.end() ? nullptr : &it->second;
-  }
+  /// Valid until the store next grows.
+  const B* find(OpId id) const { return store_.find(id); }
 
   /// Starts (or refreshes) recovery of `block_id`: `missing` are the ids
   /// this replica lacks, `all_ids` the block's full id list (the
@@ -176,7 +174,7 @@ class RelayEndpoint {
     switch (m.type) {
       case Msg::Type::kAnnounce:
       case Msg::Type::kOps:
-        for (const TaggedOp<B>& t : m.ops) store_.emplace(t.id, t.op);
+        for (const TaggedOp<B>& t : m.ops) store_.try_emplace(t.id, t.op);
         if (!m.ops.empty() && on_grow_) on_grow_();
         return;
       case Msg::Type::kGetOps: {
@@ -184,8 +182,8 @@ class RelayEndpoint {
         reply.type = Msg::Type::kOps;
         reply.block_id = m.block_id;
         for (OpId id : m.ids) {
-          if (const auto it = store_.find(id); it != store_.end()) {
-            reply.ops.push_back(TaggedOp<B>{id, it->second});
+          if (const B* op = store_.find(id)) {
+            reply.ops.push_back(TaggedOp<B>{id, *op});
           }
         }
         // A partial reply still makes progress; an empty one would only
@@ -200,7 +198,7 @@ class RelayEndpoint {
   ProcessId self_;
   OnGrow on_grow_;
   bool announce_enabled_ = true;
-  std::unordered_map<OpId, B> store_;
+  OpIdMap<B> store_;
   RecoverOnMiss<NetT> recover_;  // after store_: its Have reads store_
 };
 

@@ -68,8 +68,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -77,6 +75,7 @@
 #include "atomic/ledger.h"
 #include "common/error.h"
 #include "common/ids.h"
+#include "common/opid_table.h"
 #include "common/wire.h"
 #include "exec/replay_engine.h"
 #include "exec/subblock.h"
@@ -162,7 +161,7 @@ class SubBlockExchange {
   /// Origin intake: remember an own cut (serves kGetSubs and our own
   /// commits).  Publishing is a separate step so the forced-miss test
   /// hook can suppress it without losing the local copy.
-  void add_local(const Sub& s) { store_.emplace(s.id(), s); }
+  void add_local(const Sub& s) { store_.try_emplace(s.id(), s); }
 
   /// Eager dissemination (and deadline-tick re-publish) of an own
   /// sub-block to every peer.
@@ -177,10 +176,8 @@ class SubBlockExchange {
   }
 
   /// O(1) store lookup; nullptr when this replica has never seen `id`.
-  const Sub* find(OpId id) const {
-    const auto it = store_.find(id);
-    return it == store_.end() ? nullptr : &it->second;
-  }
+  /// Valid until the store next grows.
+  const Sub* find(OpId id) const { return store_.find(id); }
 
   /// Recover-on-miss entry points (net/recover_on_miss.h); `key` is the
   /// parked consensus slot.
@@ -210,7 +207,7 @@ class SubBlockExchange {
       case Msg::Type::kPublish:
       case Msg::Type::kSubs:
         for (const Sub& s : m.subs) {
-          if (store_.emplace(s.id(), s).second && on_store_) on_store_(s);
+          if (store_.try_emplace(s.id(), s) && on_store_) on_store_(s);
         }
         return;
       case Msg::Type::kGetSubs: {
@@ -218,9 +215,7 @@ class SubBlockExchange {
         reply.type = Msg::Type::kSubs;
         reply.key = m.key;
         for (OpId id : m.ids) {
-          if (const auto it = store_.find(id); it != store_.end()) {
-            reply.subs.push_back(it->second);
-          }
+          if (const Sub* s = store_.find(id)) reply.subs.push_back(*s);
         }
         // A partial reply still makes progress; an empty one would only
         // add chatter — the requester's rotation finds a better peer.
@@ -234,7 +229,7 @@ class SubBlockExchange {
   ProcessId self_;
   OnStore on_store_;
   bool publish_enabled_ = true;
-  std::unordered_map<OpId, Sub> store_;
+  OpIdMap<Sub> store_;
   RecoverOnMiss<NetT> recover_;  // after store_: its Have reads store_
 };
 
@@ -570,7 +565,7 @@ class MultiProposerNode {
       Block<S> merged;
       std::vector<OpId> fresh_ops;
       for (const SubBlockRef& r : h.value.refs) {
-        if (!applied_subs_.insert(r.block_id).second) {
+        if (!applied_subs_.insert(r.block_id)) {
           ++dup_refs_dropped_;
           continue;
         }
@@ -579,7 +574,7 @@ class MultiProposerNode {
         const Sub* s = exchange_.find(r.block_id);
         TS_EXPECTS(s != nullptr);
         for (const TaggedOp<BatchOp>& t : s->ops) {
-          if (applied_ids_.insert(t.id).second) {
+          if (applied_ids_.insert(t.id)) {
             merged.ops.push_back(t.op);
             fresh_ops.push_back(t.id);
           } else {
@@ -618,11 +613,11 @@ class MultiProposerNode {
   /// ones) — the proposal/re-publish "already ordered" filter.  Local
   /// knowledge only; the committed-prefix filters below are what
   /// determinism rests on.
-  std::unordered_set<OpId> known_committed_;
+  OpIdSet known_committed_;
   /// Sub-block ids APPLIED by the committed prefix (dup-reference
   /// filter) and op ids applied (dup-op filter).
-  std::unordered_set<OpId> applied_subs_;
-  std::unordered_set<OpId> applied_ids_;
+  OpIdSet applied_subs_;
+  OpIdSet applied_ids_;
   /// Own cut sub-blocks not yet committed -> earliest re-publish time
   /// (ordered map: the re-publish sweep iterates it).
   std::map<OpId, std::uint64_t> own_pending_;

@@ -113,28 +113,46 @@ bool Erc20Op::is_read_only() const noexcept {
 }
 
 std::string Erc20Op::to_string() const {
-  std::ostringstream os;
+  // Piecewise appends, no ostringstream: every op of every committed
+  // history line passes through here.
+  std::string s;
   switch (kind) {
     case Kind::kTransfer:
-      os << "transfer(a" << dst << ", " << value << ")";
+      s += "transfer(a";
+      s += std::to_string(dst);
+      s += ", ";
+      s += std::to_string(value);
       break;
     case Kind::kTransferFrom:
-      os << "transferFrom(a" << src << ", a" << dst << ", " << value << ")";
+      s += "transferFrom(a";
+      s += std::to_string(src);
+      s += ", a";
+      s += std::to_string(dst);
+      s += ", ";
+      s += std::to_string(value);
       break;
     case Kind::kApprove:
-      os << "approve(p" << spender << ", " << value << ")";
+      s += "approve(p";
+      s += std::to_string(spender);
+      s += ", ";
+      s += std::to_string(value);
       break;
     case Kind::kBalanceOf:
-      os << "balanceOf(a" << src << ")";
+      s += "balanceOf(a";
+      s += std::to_string(src);
       break;
     case Kind::kAllowance:
-      os << "allowance(a" << src << ", p" << spender << ")";
+      s += "allowance(a";
+      s += std::to_string(src);
+      s += ", p";
+      s += std::to_string(spender);
       break;
     case Kind::kTotalSupply:
-      os << "totalSupply()";
+      s += "totalSupply(";
       break;
   }
-  return os.str();
+  s += ')';
+  return s;
 }
 
 Applied<Erc20State> Erc20Spec::apply(const Erc20State& q, ProcessId caller,

@@ -91,29 +91,46 @@ bool Erc721Op::is_read_only() const noexcept {
 }
 
 std::string Erc721Op::to_string() const {
-  std::ostringstream os;
+  // Piecewise appends, no ostringstream: every op of every committed
+  // history line passes through here.
+  std::string s;
   switch (kind) {
     case Kind::kTransferFrom:
-      os << "transferFrom(a" << src << ", a" << dst << ", t" << token << ")";
+      s += "transferFrom(a";
+      s += std::to_string(src);
+      s += ", a";
+      s += std::to_string(dst);
+      s += ", t";
+      s += std::to_string(token);
       break;
     case Kind::kApprove:
-      os << "approve(p" << spender << ", t" << token << ")";
+      s += "approve(p";
+      s += std::to_string(spender);
+      s += ", t";
+      s += std::to_string(token);
       break;
     case Kind::kSetApprovalForAll:
-      os << "setApprovalForAll(p" << spender << ", "
-         << (flag ? "true" : "false") << ")";
+      s += "setApprovalForAll(p";
+      s += std::to_string(spender);
+      s += flag ? ", true" : ", false";
       break;
     case Kind::kOwnerOf:
-      os << "ownerOf(t" << token << ")";
+      s += "ownerOf(t";
+      s += std::to_string(token);
       break;
     case Kind::kGetApproved:
-      os << "getApproved(t" << token << ")";
+      s += "getApproved(t";
+      s += std::to_string(token);
       break;
     case Kind::kIsApprovedForAll:
-      os << "isApprovedForAll(a" << src << ", p" << spender << ")";
+      s += "isApprovedForAll(a";
+      s += std::to_string(src);
+      s += ", p";
+      s += std::to_string(spender);
       break;
   }
-  return os.str();
+  s += ')';
+  return s;
 }
 
 Applied<Erc721State> Erc721Spec::apply(const Erc721State& q, ProcessId caller,

@@ -88,28 +88,45 @@ bool Erc777Op::is_read_only() const noexcept {
 }
 
 std::string Erc777Op::to_string() const {
-  std::ostringstream os;
+  // Piecewise appends, no ostringstream: every op of every committed
+  // history line passes through here.
+  std::string s;
   switch (kind) {
     case Kind::kSend:
-      os << "send(a" << dst << ", " << value << ")";
+      s += "send(a";
+      s += std::to_string(dst);
+      s += ", ";
+      s += std::to_string(value);
       break;
     case Kind::kOperatorSend:
-      os << "operatorSend(a" << src << ", a" << dst << ", " << value << ")";
+      s += "operatorSend(a";
+      s += std::to_string(src);
+      s += ", a";
+      s += std::to_string(dst);
+      s += ", ";
+      s += std::to_string(value);
       break;
     case Kind::kAuthorizeOperator:
-      os << "authorizeOperator(p" << op_process << ")";
+      s += "authorizeOperator(p";
+      s += std::to_string(op_process);
       break;
     case Kind::kRevokeOperator:
-      os << "revokeOperator(p" << op_process << ")";
+      s += "revokeOperator(p";
+      s += std::to_string(op_process);
       break;
     case Kind::kBalanceOf:
-      os << "balanceOf(a" << src << ")";
+      s += "balanceOf(a";
+      s += std::to_string(src);
       break;
     case Kind::kIsOperatorFor:
-      os << "isOperatorFor(p" << op_process << ", a" << src << ")";
+      s += "isOperatorFor(p";
+      s += std::to_string(op_process);
+      s += ", a";
+      s += std::to_string(src);
       break;
   }
-  return os.str();
+  s += ')';
+  return s;
 }
 
 Applied<Erc777State> Erc777Spec::apply(const Erc777State& q, ProcessId caller,

@@ -17,13 +17,16 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "exec/exec_specs.h"
 #include "net/block_replica.h"
 #include "objects/erc721.h"
+#include "objects/erc777.h"
 #include "sched/scenario.h"
 
 namespace tokensync {
@@ -124,6 +127,66 @@ TEST(ReplayEngine, SingleOpBlockMatchesSequentialSpec) {
     EXPECT_TRUE(resp.ok);
     EXPECT_EQ(engine.ledger().snapshot(), seq);
   }
+}
+
+// Three ops around a totalSupply barrier: the escalated read splits the
+// block into three waves.  The line was captured from the ostringstream
+// renderers; the append-based ones must reproduce it byte for byte.
+TEST(ReplayEngine, ThreeOpBlockWithSupplyBarrierLine) {
+  for (const std::size_t threads : {1, 2, 8}) {
+    ReplayEngine<Erc20LedgerSpec> engine(erc20_initial(),
+                                         {.threads = threads});
+    Block<Erc20LedgerSpec> b;
+    b.ops.push_back({0, Erc20Op::transfer(1, 7)});
+    b.ops.push_back({4, Erc20Op::total_supply()});
+    b.ops.push_back({2, Erc20Op::transfer_from(1, 3, 2)});
+    EXPECT_EQ(engine.apply(b),
+              "block[3] p0 transfer(a1, 7) -> TRUE | p4 totalSupply() -> "
+              "1200 | p2 transferFrom(a1, a3, 2) -> TRUE {waves=3 esc=1}")
+        << threads << " threads";
+  }
+}
+
+// One pinned rendering per op kind of the three token objects, captured
+// from the ostringstream renderers.  The scenario scripts never draw six
+// of these kinds (ERC20 balanceOf/allowance, ERC721 getApproved/
+// isApprovedForAll, ERC777 balanceOf/isOperatorFor), so no history pin
+// would notice a byte change in them.
+TEST(OpRendering, EveryTokenOpKindKeepsItsBytes) {
+  const std::vector<std::pair<std::string, std::string>> pinned = {
+      {Erc20Op::transfer(3, UINT64_MAX).to_string(),
+       "transfer(a3, 18446744073709551615)"},
+      {Erc20Op::transfer_from(kNoAccount, 0, 7).to_string(),
+       "transferFrom(a4294967295, a0, 7)"},
+      {Erc20Op::approve(kNoProcess, 0).to_string(), "approve(p4294967295, 0)"},
+      {Erc20Op::balance_of(kNoAccount).to_string(), "balanceOf(a4294967295)"},
+      {Erc20Op::allowance(11, kNoProcess).to_string(),
+       "allowance(a11, p4294967295)"},
+      {Erc20Op::total_supply().to_string(), "totalSupply()"},
+      {Erc721Op::transfer_from(0, kNoAccount, 42).to_string(),
+       "transferFrom(a0, a4294967295, t42)"},
+      {Erc721Op::approve(kNoProcess, UINT32_MAX).to_string(),
+       "approve(p4294967295, t4294967295)"},
+      {Erc721Op::set_approval_for_all(2, true).to_string(),
+       "setApprovalForAll(p2, true)"},
+      {Erc721Op::set_approval_for_all(kNoProcess, false).to_string(),
+       "setApprovalForAll(p4294967295, false)"},
+      {Erc721Op::owner_of(0).to_string(), "ownerOf(t0)"},
+      {Erc721Op::get_approved(9).to_string(), "getApproved(t9)"},
+      {Erc721Op::is_approved_for_all(kNoAccount, kNoProcess).to_string(),
+       "isApprovedForAll(a4294967295, p4294967295)"},
+      {Erc777Op::send(5, UINT64_MAX).to_string(),
+       "send(a5, 18446744073709551615)"},
+      {Erc777Op::operator_send(1, kNoAccount, 0).to_string(),
+       "operatorSend(a1, a4294967295, 0)"},
+      {Erc777Op::authorize_operator(kNoProcess).to_string(),
+       "authorizeOperator(p4294967295)"},
+      {Erc777Op::revoke_operator(3).to_string(), "revokeOperator(p3)"},
+      {Erc777Op::balance_of(kNoAccount).to_string(), "balanceOf(a4294967295)"},
+      {Erc777Op::is_operator_for(kNoProcess, 0).to_string(),
+       "isOperatorFor(p4294967295, a0)"},
+  };
+  for (const auto& [got, want] : pinned) EXPECT_EQ(got, want);
 }
 
 TEST(ReplayEngine, EscalationOnlyBlockIsAllBarrierWaves) {

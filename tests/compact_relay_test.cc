@@ -19,6 +19,7 @@
 //     per-slot proposal bytes drop at least 5x at block size 8.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -333,11 +334,58 @@ TEST(TxPoolIdentity, LookupSurvivesDrainAndDedupsResubmission) {
 
   // The identity index outlives the queue: committed-block
   // reconstruction looks ops up AFTER their block was cut.
-  ASSERT_NE(pool.lookup(a), nullptr);
+  ASSERT_TRUE(pool.lookup(a).has_value());
   EXPECT_EQ(pool.lookup(a)->caller, 0u);
-  ASSERT_NE(pool.lookup(foreign), nullptr);
+  ASSERT_TRUE(pool.lookup(foreign).has_value());
   EXPECT_EQ(pool.lookup(foreign)->caller, 4u);
-  EXPECT_EQ(pool.lookup(make_op_id(9, 9)), nullptr);
+  EXPECT_FALSE(pool.lookup(make_op_id(9, 9)).has_value());
+}
+
+// The pool is one insertion-ordered id table plus a drained cursor: a
+// drained op stays findable after later intake has grown the table
+// several times, and the pending ops are exactly the tail past the
+// cursor, in submission order.
+TEST(TxPoolIdentity, DrainedOpsOutliveGrowthAndPeekIsTheUndrainedTail) {
+  Erc20TxPool pool;
+  pool.set_origin(1);
+  std::vector<TaggedOp<Erc20TxPool::BatchOp>> all;
+  const auto submit = [&](Amount v) {
+    const ProcessId caller = static_cast<ProcessId>(v % 12);
+    const Erc20Op op = Erc20Op::transfer(static_cast<AccountId>(v % 7), v);
+    all.push_back({pool.submit(caller, op), {caller, op}});
+  };
+  // The id 0 is legal (make_op_id can yield it) and kept apart from the
+  // table's slots.
+  ASSERT_TRUE(pool.submit_tagged(0, 3, Erc20Op::transfer(4, 99)));
+  all.push_back({0, {3, Erc20Op::transfer(4, 99)}});
+  for (Amount v = 0; v < 5; ++v) submit(v);
+  const auto first = pool.drain_tagged(4);
+  ASSERT_EQ(first.size(), 4u);
+
+  // 16 → 4096 slots: eight doublings after the drain.
+  for (Amount v = 5; v < 2000; ++v) submit(v);
+  for (const auto& t : first) {
+    const auto op = pool.lookup(t.id);
+    ASSERT_TRUE(op.has_value()) << t.id;
+    EXPECT_EQ(*op, t.op);
+  }
+  EXPECT_FALSE(pool.submit_tagged(0, 3, Erc20Op::transfer(4, 99)));
+  EXPECT_FALSE(pool.submit_tagged(all[2].id, 0, Erc20Op::transfer(1, 1)));
+
+  const auto second = pool.drain_tagged(700);
+  ASSERT_EQ(second.size(), 700u);
+  EXPECT_EQ(second.front(), all[4]);
+  const auto tail = pool.peek_tagged();
+  ASSERT_EQ(tail.size(), all.size() - 704);
+  EXPECT_EQ(pool.pending(), tail.size());
+  EXPECT_TRUE(std::equal(tail.begin(), tail.end(), all.begin() + 704));
+  EXPECT_EQ(pool.submitted(), all.size());
+  EXPECT_EQ(pool.drained(), 704u);
+  for (const auto& t : all) {
+    const auto op = pool.lookup(t.id);
+    ASSERT_TRUE(op.has_value()) << t.id;
+    EXPECT_EQ(*op, t.op);
+  }
 }
 
 // ---------------------------------------------------------------------------
