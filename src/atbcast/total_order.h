@@ -15,7 +15,8 @@
 // command in two different slots, so delivery deduplicates by submission
 // id — deterministically, because every replica processes slots in the
 // same order.  Delivery is contiguous in slot order (a decided slot parks
-// until all earlier slots are known).
+// until all earlier slots are known).  The decided log is the Paxos
+// engine's own: this layer keeps no second copy of any decision.
 //
 // Pipelining (the block pipeline's knob): with `window` = w > 1 the node
 // keeps its w oldest pending payloads in flight at the w lowest open
@@ -53,6 +54,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <optional>
@@ -95,6 +97,8 @@ class TotalOrderBcast {
   using Net = NetT;
   /// Called exactly once per committed command, in slot order, with the
   /// same (slot, origin, nonce, payload) sequence on every replica.
+  /// `payload` refers into the decided log: a callback that can truncate
+  /// the log (truncate_below) copies what it keeps before it does.
   using Deliver = std::function<void(std::uint64_t slot, ProcessId origin,
                                      std::uint64_t nonce, const Payload&)>;
 
@@ -170,8 +174,10 @@ class TotalOrderBcast {
   /// at slots below `slot` are covered by the snapshot and will never be
   /// delivered here; a command with nonce <= floor[origin] landing in a
   /// LATER slot (the adoption-race duplicate) is suppressed exactly as
-  /// `seen_` would have.  Ends with a frontier query + pump so catch-up
-  /// of the log suffix starts immediately.
+  /// `seen_` would have.  The Paxos log keeps the decisions below `slot`
+  /// that reached it, but the snapshot covers them, so the retained-log
+  /// figures count from `slot` up.  Ends with a frontier query + pump so
+  /// catch-up of the log suffix starts immediately.
   void advance_to(std::uint64_t slot,
                   const std::vector<std::uint64_t>& nonce_floor) {
     TS_EXPECTS(nonce_floor.size() == nonce_floor_.size());
@@ -181,7 +187,7 @@ class TotalOrderBcast {
       nonce_floor_[o] = std::max(nonce_floor_[o], nonce_floor[o]);
       origin_frontier_[o] = std::max(origin_frontier_[o], nonce_floor[o]);
     }
-    decided_.erase(decided_.begin(), decided_.lower_bound(slot));
+    log_base_ = slot;
     deliver_ready();  // decisions may already have arrived for >= slot
     paxos_->query_all(next_deliver_);
     pump();
@@ -194,9 +200,13 @@ class TotalOrderBcast {
   /// kPruned redirect can only reach a rejoiner, whose recovery path
   /// fetches a snapshot instead.
   void truncate_below(std::uint64_t slot) {
-    const auto end = decided_.lower_bound(slot);
-    for (auto it = decided_.begin(); it != end; ++it) ++pruned_slots_;
-    decided_.erase(decided_.begin(), end);
+    // The floor may sit below a rejoiner's install slot: then nothing
+    // retained is pruned (and the range below must not start past its end).
+    if (slot > log_base_) {
+      const auto& log = paxos_->decided_log();
+      pruned_slots_ += static_cast<std::uint64_t>(
+          std::distance(log.lower_bound(log_base_), log.lower_bound(slot)));
+    }
     paxos_->set_floor(slot);
   }
 
@@ -206,11 +216,19 @@ class TotalOrderBcast {
     paxos_->set_on_pruned(std::move(h));
   }
 
-  /// Decided slots still held (the retained log) and their value bytes.
-  std::size_t retained_slots() const noexcept { return decided_.size(); }
+  /// Decided slots still held (the retained log, from the install slot
+  /// up) and their value bytes.
+  std::size_t retained_slots() const noexcept {
+    const auto& log = paxos_->decided_log();
+    return static_cast<std::size_t>(
+        std::distance(log.lower_bound(log_base_), log.end()));
+  }
   std::uint64_t retained_log_bytes() const {
+    const auto& log = paxos_->decided_log();
     std::uint64_t bytes = 0;
-    for (const auto& [slot, cmd] : decided_) bytes += wire_size_of(cmd);
+    for (auto it = log.lower_bound(log_base_); it != log.end(); ++it) {
+      bytes += wire_size_of(it->second);
+    }
     return bytes;
   }
   /// Slots erased by truncate_below over this node's lifetime.
@@ -235,7 +253,7 @@ class TotalOrderBcast {
     for (Cmd& c : pending_) {
       if (launched == window_) break;
       if (landed_.contains(c.nonce)) continue;  // decided, awaiting delivery
-      while (decided_.contains(slot)) ++slot;
+      while (paxos_->has_decided(slot)) ++slot;
       // Refresh before offering: the proposal an instance FIRST sees is
       // what it keeps, so the refresh must run before propose(), not
       // after a lost duel (set_refresh).
@@ -250,15 +268,12 @@ class TotalOrderBcast {
     // A catch-up REPLY proves we were behind: continue the frontier walk.
     const bool caught_up = paxos_->last_decide_was_reply();
     // Below the delivery frontier the decision is already covered — by
-    // delivery or (after advance_to) by an installed snapshot; storing it
-    // would only regrow pruned log.
+    // delivery or (after advance_to) by an installed snapshot.
     if (slot < next_deliver_) return;
-    decided_.emplace(slot, c);
     if (c.origin == self_) landed_.insert(c.nonce);
-    // Gap repair: ask for every earlier slot we have no decision for.
-    for (std::uint64_t s = next_deliver_; s < slot; ++s) {
-      if (!decided_.contains(s)) paxos_->query_all(s);
-    }
+    // Gap repair: ask for every earlier slot we have no decision for
+    // (query_all skips the decided ones).
+    for (std::uint64_t s = next_deliver_; s < slot; ++s) paxos_->query_all(s);
     deliver_ready();
     // Frontier walk, gated on catch-up evidence: walk on when either a
     // decided slot sits beyond the contiguous prefix (a hole must exist
@@ -266,8 +281,8 @@ class TotalOrderBcast {
     // chasing a tail of missed decisions, and only the walk can tell us
     // where it ends).  An ordinary fault-free commit satisfies neither,
     // so the fast path sends zero extra messages.
-    const bool gap =
-        !decided_.empty() && decided_.rbegin()->first >= next_deliver_;
+    const auto& log = paxos_->decided_log();
+    const bool gap = !log.empty() && log.rbegin()->first >= next_deliver_;
     if (gap || caught_up) paxos_->query_all(next_deliver_);
     pump();
   }
@@ -275,9 +290,10 @@ class TotalOrderBcast {
   /// Contiguous delivery with (origin, nonce) dedup — both the classic
   /// `seen_` set and the snapshot-installed per-origin nonce floors.
   void deliver_ready() {
+    const auto& log = paxos_->decided_log();
     while (true) {
-      const auto it = decided_.find(next_deliver_);
-      if (it == decided_.end()) break;
+      const auto it = log.find(next_deliver_);
+      if (it == log.end()) break;
       const Cmd& cmd = it->second;
       if (cmd.origin == self_) {
         pending_.erase(std::remove_if(pending_.begin(), pending_.end(),
@@ -307,7 +323,9 @@ class TotalOrderBcast {
   std::vector<Cmd> pending_;  // our submissions, oldest first
   std::uint64_t next_nonce_ = 1;
   std::uint64_t next_deliver_ = 0;
-  std::map<std::uint64_t, Cmd> decided_;
+  /// The installed snapshot's boundary (0 = none): the decided log this
+  /// node retains is the Paxos log from here up (advance_to).
+  std::uint64_t log_base_ = 0;
   std::set<std::pair<ProcessId, std::uint64_t>> seen_;
   /// Highest nonce delivered per origin (exact under window == 1; see
   /// origin_frontiers()).

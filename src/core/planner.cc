@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <array>
+#include <limits>
 #include <sstream>
-#include <unordered_map>
+
+#include "common/error.h"
 
 namespace tokensync {
 
@@ -45,14 +47,6 @@ std::string SyncPlan::to_string() const {
   return os.str();
 }
 
-std::vector<std::vector<std::size_t>> BatchSchedule::grouped() const {
-  std::vector<std::vector<std::size_t>> out(num_waves);
-  for (std::size_t i = 0; i < wave.size(); ++i) {
-    out[wave[i]].push_back(i);  // i ascending ⇒ waves are index-sorted
-  }
-  return out;
-}
-
 std::string BatchSchedule::to_string() const {
   std::ostringstream os;
   os << wave.size() << " ops in " << num_waves << " waves ("
@@ -62,15 +56,20 @@ std::string BatchSchedule::to_string() const {
 }
 
 BatchSchedule plan_batch(const std::vector<Footprint>& fps,
-                         const std::vector<bool>& escalate) {
+                         const std::vector<bool>& escalate,
+                         PlanScratch& scratch) {
+  TS_EXPECTS(fps.size() < std::numeric_limits<std::uint32_t>::max());
+  // A new stamp makes every entry written by an earlier batch read as
+  // untouched; on wrap-around the stamps restart from a cleared array.
+  if (++scratch.epoch_ == 0) {
+    for (PlanScratch::Account& a : scratch.accounts_) a.epoch = 0;
+    scratch.epoch_ = 1;
+  }
+  const std::uint32_t epoch = scratch.epoch_;
   BatchSchedule s;
   s.wave.resize(fps.size());
-  // last_touch[a]: the latest wave so far containing an op touching a.
-  // Only point lookups/updates — never iterated — so the unordered map
-  // cannot perturb determinism.
-  std::unordered_map<AccountId, std::uint32_t> last_touch;
-  std::unordered_map<AccountId, std::size_t> touch_count;
-  // Encoded as wave+1 with 0 = "none", so plain unsigned arithmetic works.
+  // Waves encoded as wave+1 with 0 = "none", so plain unsigned arithmetic
+  // works.
   std::uint32_t last_barrier = 0;
   std::uint32_t max_wave = 0;
   std::size_t barriers_so_far = 0;
@@ -100,18 +99,32 @@ BatchSchedule plan_batch(const std::vector<Footprint>& fps,
         }
       }
       for (std::size_t j = 0; j < un; ++j) {
-        if (auto it = last_touch.find(uniq[j]); it != last_touch.end()) {
-          w = std::max(w, it->second);
-        }
-        s.conflict_edges += touch_count[uniq[j]]++;
+        TS_EXPECTS(uniq[j] < scratch.num_accounts_);
+        PlanScratch::Account& a = scratch.accounts_[uniq[j]];
+        if (a.epoch != epoch) a = {epoch, 0, 0};
+        w = std::max(w, a.last_touch);
+        s.conflict_edges += a.touch_count++;
       }
       ++w;  // strictly after every conflicting predecessor
-      for (std::size_t j = 0; j < un; ++j) last_touch[uniq[j]] = w;
+      for (std::size_t j = 0; j < un; ++j) {
+        scratch.accounts_[uniq[j]].last_touch = w;
+      }
     }
     s.wave[i] = w - 1;
     max_wave = std::max(max_wave, w);
   }
   s.num_waves = max_wave;
+  // The flat wave order: a counting sort by wave, stable in index order.
+  s.wave_begin.assign(s.num_waves + 1, 0);
+  for (const std::uint32_t w : s.wave) ++s.wave_begin[w + 1];
+  for (std::size_t w = 0; w < s.num_waves; ++w) {
+    s.wave_begin[w + 1] += s.wave_begin[w];
+  }
+  scratch.cursor_.assign(s.wave_begin.begin(), s.wave_begin.end() - 1);
+  s.order.resize(fps.size());
+  for (std::uint32_t i = 0; i < s.wave.size(); ++i) {
+    s.order[scratch.cursor_[s.wave[i]]++] = i;
+  }
   return s;
 }
 

@@ -20,6 +20,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -87,6 +88,11 @@ struct BatchSchedule {
   /// edge per predecessor.  A cheap density signal, not an exact pair
   /// count.
   std::size_t conflict_edges = 0;
+  /// Operation indices stable-sorted by wave: wave w's operations are
+  /// order[wave_begin[w], wave_begin[w + 1]), ascending (the
+  /// deterministic execution order contract of src/exec/).
+  std::vector<std::uint32_t> order;
+  std::vector<std::uint32_t> wave_begin;  ///< num_waves + 1 offsets
 
   std::size_t size() const noexcept { return wave.size(); }
   /// Mean operations per wave — the schedule's available parallelism
@@ -96,11 +102,50 @@ struct BatchSchedule {
                            static_cast<double>(num_waves)
                      : 0.0;
   }
-  /// Operation indices grouped by wave, ascending within each wave (the
-  /// deterministic execution order contract of src/exec/).
-  std::vector<std::vector<std::size_t>> grouped() const;
+  /// Wave w's operation indices, ascending.
+  std::span<const std::uint32_t> wave_ops(std::size_t w) const {
+    return std::span(order).subspan(wave_begin[w],
+                                    wave_begin[w + 1] - wave_begin[w]);
+  }
+  std::span<std::uint32_t> wave_ops(std::size_t w) {
+    return std::span(order).subspan(wave_begin[w],
+                                    wave_begin[w + 1] - wave_begin[w]);
+  }
 
   std::string to_string() const;
+};
+
+/// plan_batch's per-account bookkeeping: arrays indexed by AccountId over
+/// a fixed keyspace, stamped with the batch they were last written in.
+/// Reused across batches, a batch costs O(its ops) — an entry from an
+/// older batch reads as untouched — and allocates nothing once warm.
+class PlanScratch {
+ public:
+  explicit PlanScratch(std::size_t num_accounts = 0) {
+    set_num_accounts(num_accounts);
+  }
+
+  /// The keyspace: plan_batch requires every account id of a non-barrier
+  /// footprint to be below it.  Growing it keeps the old entries.
+  void set_num_accounts(std::size_t n) {
+    num_accounts_ = n;
+    if (accounts_.size() < n) accounts_.resize(n);
+  }
+
+ private:
+  friend BatchSchedule plan_batch(const std::vector<Footprint>&,
+                                  const std::vector<bool>&, PlanScratch&);
+
+  struct Account {
+    std::uint32_t epoch = 0;        ///< batch that last wrote this entry
+    std::uint32_t last_touch = 0;   ///< latest wave + 1 touching it (0: none)
+    std::uint32_t touch_count = 0;  ///< earlier ops of the batch touching it
+  };
+
+  std::vector<Account> accounts_;
+  std::size_t num_accounts_ = 0;
+  std::uint32_t epoch_ = 0;
+  std::vector<std::uint32_t> cursor_;  ///< per-wave fill cursor for order
 };
 
 /// Greedy earliest-wave scheduling of one batch.  `fps[i]` is operation
@@ -108,8 +153,10 @@ struct BatchSchedule {
 /// lane (treated as conflicting with every other operation — used by the
 /// executor for operations whose footprint is state-dependent and can
 /// drift between planning and execution).  `escalate` may be empty
-/// (nothing escalates beyond whole-state footprints).
+/// (nothing escalates beyond whole-state footprints).  `scratch` holds
+/// the per-account bookkeeping; its keyspace bounds the account ids.
 BatchSchedule plan_batch(const std::vector<Footprint>& fps,
-                         const std::vector<bool>& escalate = {});
+                         const std::vector<bool>& escalate,
+                         PlanScratch& scratch);
 
 }  // namespace tokensync

@@ -140,6 +140,18 @@ class PaxosEngine {
     return decided_.at(instance);
   }
   std::size_t decided_count() const noexcept { return decided_.size(); }
+  /// The decided log itself, by instance (pruned below floor()).  A
+  /// layer that orders by instance reads its decisions here instead of
+  /// keeping a second copy.
+  const std::map<InstanceId, Value>& decided_log() const noexcept {
+    return decided_;
+  }
+  /// Proposer and acceptor records held right now.  A record lives from
+  /// the instance's first prepare or propose until its decision enters
+  /// the log, so an engine whose instances all decided holds none.
+  std::size_t live_records() const noexcept {
+    return proposers_.size() + acceptors_.size();
+  }
 
   /// Log truncation (DESIGN.md §13): forget every instance below `floor`.
   /// Decisions, acceptor promises and proposer state below the floor are
@@ -221,19 +233,32 @@ class PaxosEngine {
     start_round(instance);  // new, higher ballot
   }
 
+  /// Enters a decision into the log and ends the instance's proposer and
+  /// acceptor records: once decided, every message for the instance but
+  /// a kDecide is answered from the log, propose() and on_timer() return
+  /// early, and a kDecide finds the entry present — so nothing reads the
+  /// records again.  Returns the log's entry, or nullptr when `instance`
+  /// was already decided.  `v` may live in the erased records (a
+  /// proposer's round_value), so it is copied into the log first.
+  const Value* enter_decision(InstanceId instance, const Value& v) {
+    const auto [it, fresh] = decided_.try_emplace(instance, v);
+    if (!fresh) return nullptr;
+    proposers_.erase(instance);
+    acceptors_.erase(instance);
+    return &it->second;
+  }
+
   void decide(InstanceId instance, const Value& v) {
-    if (decided_.contains(instance)) return;
-    decided_.emplace(instance, v);
-    auto it = proposers_.find(instance);
-    if (it != proposers_.end()) it->second.active = false;
+    const Value* d = enter_decision(instance, v);
+    if (!d) return;
     // Disseminate to all nodes — learners are everyone, not just the
     // acceptor group (every replica applies every decided operation).
     PaxosMsg<Value> m;
     m.type = PaxosMsg<Value>::Type::kDecide;
     m.instance = instance;
-    m.value = v;
+    m.value = *d;
     net_.send_all(self_, m);
-    on_decide_(instance, v);
+    on_decide_(instance, *d);
   }
 
   void on_message(ProcessId from, const PaxosMsg<Value>& m) {
@@ -373,10 +398,7 @@ class PaxosEngine {
         return;  // handled before the switch; unreachable
 
       case T::kDecide: {
-        if (!decided_.contains(m.instance)) {
-          decided_.emplace(m.instance, m.value);
-          auto it = proposers_.find(m.instance);
-          if (it != proposers_.end()) it->second.active = false;
+        if (enter_decision(m.instance, m.value)) {
           last_decide_was_reply_ = m.is_reply;
           on_decide_(m.instance, m.value);
           last_decide_was_reply_ = false;
@@ -407,6 +429,7 @@ class PaxosEngine {
   DecideHandler on_decide_;
   std::uint64_t retry_delay_;
   Rng backoff_rng_;
+  // Undecided instances only: enter_decision() ends both records.
   std::map<InstanceId, Proposer> proposers_;
   std::map<InstanceId, Acceptor> acceptors_;
   std::map<InstanceId, Value> decided_;

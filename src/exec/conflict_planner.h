@@ -55,14 +55,26 @@ class ConflictPlanner {
   /// ones escalate, so the plan stays valid for the whole execution.
   static BatchSchedule plan(const ConcurrentLedger<S>& ledger,
                             const std::vector<BatchOp>& batch) {
-    std::vector<Footprint> fps(batch.size());
-    std::vector<bool> escalate(batch.size(), false);
+    // One scratch per thread, reused across blocks and ledgers: a plan
+    // completes before the next one starts, and plan_batch restamps the
+    // per-account arrays for every batch.
+    thread_local Scratch scratch;
+    scratch.fps.resize(batch.size());
+    scratch.escalate.assign(batch.size(), false);
     for (std::size_t i = 0; i < batch.size(); ++i) {
-      ledger.footprint_of(batch[i].caller, batch[i].op, fps[i]);
-      escalate[i] = !ExecTraits<S>::stable_footprint(batch[i].op);
+      ledger.footprint_of(batch[i].caller, batch[i].op, scratch.fps[i]);
+      scratch.escalate[i] = !ExecTraits<S>::stable_footprint(batch[i].op);
     }
-    return plan_batch(fps, escalate);
+    scratch.accounts.set_num_accounts(ledger.num_accounts());
+    return plan_batch(scratch.fps, scratch.escalate, scratch.accounts);
   }
+
+ private:
+  struct Scratch {
+    std::vector<Footprint> fps;
+    std::vector<bool> escalate;
+    PlanScratch accounts;
+  };
 };
 
 }  // namespace tokensync

@@ -42,6 +42,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -96,8 +97,8 @@ class ParallelExecutor {
     ExecReport rep;
     rep.schedule = ConflictPlanner<S>::plan(ledger_, batch);
     rep.responses.resize(batch.size());
-    for (std::vector<std::size_t>& wave : rep.schedule.grouped()) {
-      run_wave(batch, wave, rep.responses);
+    for (std::size_t w = 0; w < rep.schedule.num_waves; ++w) {
+      run_wave(batch, rep.schedule.wave_ops(w), rep.responses);
     }
     return rep;
   }
@@ -107,8 +108,7 @@ class ParallelExecutor {
   /// footprints are pairwise disjoint (or the wave is a singleton
   /// barrier), so any partition over threads commutes to one outcome.
   void run_wave(const std::vector<BatchOp>& batch,
-                std::vector<std::size_t>& wave,
-                std::vector<Response>& out) {
+                std::span<std::uint32_t> wave, std::vector<Response>& out) {
     // Singleton waves — barriers (escalated / whole-state ops) and
     // trickles — run on the calling thread: the sequential lane.  No
     // worker is running, so the ledger is ours alone (file comment).
@@ -152,10 +152,10 @@ class ParallelExecutor {
   /// (shard, index) key makes the order total, so same-shard ops keep
   /// submission order (deterministic).
   void sort_by_home_shard(const std::vector<BatchOp>& batch,
-                          std::vector<std::size_t>& wave) {
-    std::vector<std::pair<std::uint32_t, std::size_t>> keys;
+                          std::span<std::uint32_t> wave) {
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> keys;
     keys.reserve(wave.size());
-    for (const std::size_t i : wave) {
+    for (const std::uint32_t i : wave) {
       keys.emplace_back(home_shard(batch[i]), i);
     }
     std::sort(keys.begin(), keys.end());

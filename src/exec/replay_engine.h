@@ -21,7 +21,7 @@
 // The engine owns its ledger and executor (and is deliberately pinned —
 // the executor holds a reference to the ledger, so moving the pair would
 // dangle it; holders wrap the engine in a unique_ptr, see
-// net/block_replica.h's BlockSM).
+// BlockReplicaNode's engine_ in net/block_replica.h).
 #pragma once
 
 #include <cstddef>

@@ -98,16 +98,39 @@ namespace tokensync {
 /// {block_id, proposer, ids} (RelayMode::kCompact).  One C++ type for
 /// both modes, so the Paxos/TOB machinery — and therefore the primary
 /// event schedule — is identical; only the wire SIZE differs.
+///
+/// The contents are one immutable Body, built once when the block is cut
+/// and shared by reference count: every message that carries the value,
+/// every consensus state slot that holds it and every replica that
+/// commits it point at the same body, so copying a value (or the TobCmd
+/// and PaxosMsg around it) copies no op.  A real network gives each
+/// replica its own copy; in this one-process simulator the replicas
+/// share an immutable one.  Equality and wire size read the contents, so
+/// every send is still charged the full payload.  A default-constructed
+/// value (every PaxosMsg starts with two) holds no body, allocates
+/// nothing, and reads as an empty full-mode block.
 template <ConcurrentTokenSpec S>
-struct BlockValue {
-  bool compact = false;
-  Block<S> full;               ///< kFull payload; empty when compact
-  std::uint64_t block_id = 0;  ///< kCompact: recovery correlation
-  ProcessId proposer = 0;      ///< kCompact: whom to ask first on a miss
-  /// The ordered op identities — in BOTH modes (the applied-id dedup
-  /// filter needs them); kCompact additionally uses them as the payload
-  /// references.
-  std::vector<OpId> ids;
+class BlockValue {
+ public:
+  struct Body {
+    bool compact = false;
+    Block<S> full;               ///< kFull payload; empty when compact
+    std::uint64_t block_id = 0;  ///< kCompact: recovery correlation
+    ProcessId proposer = 0;      ///< kCompact: whom to ask first on a miss
+    /// The ordered op identities — in BOTH modes (the applied-id dedup
+    /// filter needs them); kCompact additionally uses them as the
+    /// payload references.
+    std::vector<OpId> ids;
+
+    friend bool operator==(const Body&, const Body&) = default;
+  };
+
+  BlockValue() = default;
+  explicit BlockValue(Body body)
+      : body_(std::make_shared<const Body>(std::move(body))) {}
+
+  const Body& operator*() const noexcept { return body_ ? *body_ : empty(); }
+  const Body* operator->() const noexcept { return &**this; }
 
   /// Compact: block_id + proposer + length prefix + 8 bytes per id.
   /// Full: the signed payload itself — the ids do NOT add wire bytes in
@@ -117,10 +140,21 @@ struct BlockValue {
   /// wrappers add their own bytes on top — this is what per-slot
   /// proposal bytes measure.)
   std::uint64_t wire_size() const {
-    return compact ? 8 + 4 + 8 + 8 * ids.size() : wire_size_of(full);
+    const Body& b = **this;
+    return b.compact ? 8 + 4 + 8 + 8 * b.ids.size() : wire_size_of(b.full);
   }
 
-  friend bool operator==(const BlockValue&, const BlockValue&) = default;
+  friend bool operator==(const BlockValue& a, const BlockValue& b) {
+    return a.body_ == b.body_ || *a == *b;
+  }
+
+ private:
+  static const Body& empty() noexcept {
+    static const Body kEmpty;
+    return kEmpty;
+  }
+
+  std::shared_ptr<const Body> body_;
 };
 
 /// The block pipeline's multiplexed wire type: lane 0 carries the
@@ -321,15 +355,14 @@ class BlockReplicaNode {
   }
 
   void propose(TaggedBlock<S> tb) {
-    Value v;
-    v.ids = tb.ids;  // both modes: the applied-id filter's keys
+    typename Value::Body body;
     if (relay_mode_ == RelayMode::kCompact) {
-      v.compact = true;
+      body.compact = true;
       // Block ids share the OpId hash but key a disjoint map (recovery
       // correlation, never the op store), so an accidental collision
       // with an op id is harmless.
-      v.block_id = make_op_id(self_, blocks_proposed_++);
-      v.proposer = self_;
+      body.block_id = make_op_id(self_, blocks_proposed_++);
+      body.proposer = self_;
       std::vector<TaggedOp<BatchOp>> tagged;
       tagged.reserve(tb.ids.size());
       for (std::size_t i = 0; i < tb.ids.size(); ++i) {
@@ -337,15 +370,18 @@ class BlockReplicaNode {
       }
       relay_.announce(tagged);
     } else {
-      v.full = std::move(tb.block);
+      body.full = std::move(tb.block);
     }
+    body.ids = std::move(tb.ids);  // both modes: the applied-id filter's keys
     core_.note_submission();
-    const std::uint64_t nonce = tob_.broadcast(std::move(v));
+    const std::uint64_t nonce = tob_.broadcast(Value(std::move(body)));
     core_.start_latency(nonce, net_.now());
   }
 
   void on_commit(std::uint64_t slot, ProcessId origin, std::uint64_t nonce,
                  const Value& v) {
+    // Copied (a count bump) before try_apply can truncate the log `v`
+    // lives in.
     parked_.push_back(Parked{slot, origin, nonce, v});
     try_apply();
   }
@@ -357,42 +393,55 @@ class BlockReplicaNode {
   /// set is a pure function of the committed prefix (plus, on a
   /// rejoiner, the installed snapshot's applied_ids), so every replica
   /// drops the same occurrences and the rendered history stays
-  /// byte-identical.
+  /// byte-identical.  A full block replays straight from the shared body
+  /// unless the filter drops some of its ops; then only the survivors
+  /// are copied.
   void try_apply() {
     while (!parked_.empty()) {
       Parked& h = parked_.front();
-      std::vector<OpId> missing;
-      std::optional<Block<S>> blk = reconstruct(h.value, missing);
-      if (!blk) {
-        relay_.fetch(h.value.block_id, h.value.proposer, std::move(missing),
-                     h.value.ids);
-        return;
+      std::optional<Block<S>> rebuilt;  // compact mode only
+      if (h.value->compact) {
+        std::vector<OpId> missing;
+        rebuilt = reconstruct(*h.value, missing);
+        if (!rebuilt) {
+          relay_.fetch(h.value->block_id, h.value->proposer,
+                       std::move(missing), h.value->ids);
+          return;
+        }
       }
-      relay_.cancel(h.value.block_id);
+      relay_.cancel(h.value->block_id);
       proposal_bytes_ += wire_size_of(h.value);
       const std::uint64_t slot = h.slot;
       const ProcessId origin = h.origin;
       const std::uint64_t nonce = h.nonce;
-      TS_EXPECTS(h.value.ids.size() == blk->ops.size());
-      Block<S> fresh;
-      fresh.ops.reserve(blk->ops.size());
-      for (std::size_t i = 0; i < blk->ops.size(); ++i) {
-        if (applied_ids_.insert(h.value.ids[i])) {
-          if (rcfg_.snapshot_interval > 0) {
-            applied_delta_.push_back(h.value.ids[i]);
-          }
-          fresh.ops.push_back(std::move(blk->ops[i]));
+      // Held here: the pop below and a truncation in cut_snapshot may
+      // drop every other reference to the body before on_apply_ runs.
+      const Value value = std::move(h.value);
+      const Block<S>& committed = rebuilt ? *rebuilt : value->full;
+      const std::vector<OpId>& ids = value->ids;
+      TS_EXPECTS(ids.size() == committed.ops.size());
+      Block<S> survivors;  // filled only once the filter drops an op
+      bool dropped = false;
+      for (std::size_t i = 0; i < ids.size(); ++i) {
+        if (applied_ids_.insert(ids[i])) {
+          if (rcfg_.snapshot_interval > 0) applied_delta_.push_back(ids[i]);
+          if (dropped) survivors.ops.push_back(committed.ops[i]);
+        } else if (!dropped) {
+          dropped = true;
+          survivors.ops.assign(committed.ops.begin(),
+                               committed.ops.begin() + i);
         }
       }
-      if (recovering_) catchup_ops_ += fresh.ops.size();
-      core_.append(slot, origin, net_.now(), engine_->apply(fresh));
+      const Block<S>& applied = dropped ? survivors : committed;
+      if (recovering_) catchup_ops_ += applied.ops.size();
+      core_.append(slot, origin, net_.now(), engine_->apply(applied));
       if (origin == self_) core_.finish_latency(nonce, net_.now());
       parked_.pop_front();
       if (rcfg_.snapshot_interval > 0 &&
           (slot + 1) % rcfg_.snapshot_interval == 0) {
         cut_snapshot(slot + 1);
       }
-      if (on_apply_) on_apply_(slot, fresh);
+      if (on_apply_) on_apply_(slot, applied);
     }
     if (recovering_ && have_target_ &&
         tob_.delivered_count() >= target_frontier_) {
@@ -496,12 +545,11 @@ class BlockReplicaNode {
     if (auto tb = builder_.cut_tagged_if_full()) propose(std::move(*tb));
   }
 
-  /// Rebuilds the committed block: trivial for full values; for compact
-  /// values, each id resolves from the local TxPool index or the relay
-  /// store.  Unresolved ids land in `missing`.
-  std::optional<Block<S>> reconstruct(const Value& v,
+  /// Rebuilds a compact value's block: each id resolves from the local
+  /// TxPool index or the relay store.  Unresolved ids land in `missing`.
+  std::optional<Block<S>> reconstruct(const typename Value::Body& v,
                                       std::vector<OpId>& missing) {
-    if (!v.compact) return v.full;
+    TS_EXPECTS(v.compact);
     Block<S> blk;
     blk.ops.reserve(v.ids.size());
     for (OpId id : v.ids) {

@@ -10,7 +10,10 @@
 //   * fault atomicity — blocks survive drop/duplication/partition-heal/
 //     minority-crash: a block commits atomically or not at all, and
 //     duplicated delivery never double-applies (committed == submitted
-//     under lossy_dup).
+//     under lossy_dup);
+//   * the shared consensus value — copies of a BlockValue, and of the
+//     TobCmd and PaxosMsg around it, share one body; an empty value
+//     allocates nothing; equality and wire size read the contents.
 //
 // The ThreadSanitizer CI job rebuilds this binary too: the replicated
 // replay sections run real thread pools inside every replica.
@@ -18,6 +21,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <string>
 #include <utility>
 #include <vector>
@@ -28,6 +33,27 @@
 #include "objects/erc721.h"
 #include "objects/erc777.h"
 #include "sched/scenario.h"
+
+namespace tokensync {
+namespace {
+
+/// operator new calls made by this thread (the replacement below).
+thread_local std::size_t t_allocs = 0;
+
+}  // namespace
+}  // namespace tokensync
+
+// Out of line, so the compiler never pairs an inlined free() with a
+// new-expression (-Wmismatched-new-delete).
+[[gnu::noinline]] void* operator new(std::size_t n) {
+  ++tokensync::t_allocs;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace tokensync {
 namespace {
@@ -100,6 +126,99 @@ TEST(BlockBuilder, DeadlineCutIsBoundedByMaxOps) {
   ASSERT_TRUE(second.has_value());
   EXPECT_EQ(second->size(), 2u);
   EXPECT_EQ(second->ops[0].op.value, 5u);
+}
+
+// ---------------------------------------------------------------------------
+// BlockValue: one shared immutable body per cut block.
+// ---------------------------------------------------------------------------
+
+using Value = BlockValue<Erc20LedgerSpec>;
+using ValueMsg = PaxosMsg<TobCmd<Value>>;
+
+Value::Body three_op_body() {
+  Value::Body b;
+  b.full.ops.push_back({0, Erc20Op::transfer(1, 5)});
+  b.full.ops.push_back({2, Erc20Op::transfer_from(3, 4, 6)});
+  b.full.ops.push_back({5, Erc20Op::approve(6, 7)});
+  b.ids = {make_op_id(0, 1), make_op_id(2, 2), make_op_id(5, 3)};
+  return b;
+}
+
+Value::Body compact_body() {
+  Value::Body b;
+  b.compact = true;
+  b.block_id = make_op_id(1, 9);
+  b.proposer = 1;
+  b.ids = three_op_body().ids;
+  return b;
+}
+
+TEST(BlockValue, CopiesShareOneBody) {
+  const Value v(three_op_body());
+  TobCmd<Value> cmd;
+  cmd.origin = 1;
+  cmd.nonce = 3;
+  cmd.payload = v;
+  ValueMsg msg;
+  msg.type = ValueMsg::Type::kAccept;
+  msg.value = cmd;
+
+  const std::size_t before = t_allocs;
+  const Value v_copy = v;
+  const TobCmd<Value> cmd_copy = cmd;
+  const ValueMsg msg_copy = msg;
+  EXPECT_EQ(t_allocs, before) << "a copy allocated";
+
+  const auto* ops = v->full.ops.data();
+  EXPECT_EQ(v_copy->full.ops.data(), ops);
+  EXPECT_EQ(cmd_copy.payload->full.ops.data(), ops);
+  EXPECT_EQ(msg_copy.value.payload->full.ops.data(), ops);
+  EXPECT_EQ(msg_copy.value.payload->ids.data(), v->ids.data());
+}
+
+TEST(BlockValue, DefaultConstructedValueAllocatesNothing) {
+  const std::size_t before = t_allocs;
+  const Value v;
+  const ValueMsg msg;
+  const BlockLaneMsg<Erc20LedgerSpec> lane;
+  EXPECT_EQ(t_allocs, before);
+  // It reads as an empty full-mode block.
+  EXPECT_FALSE(v->compact);
+  EXPECT_TRUE(v->full.empty());
+  EXPECT_TRUE(v->ids.empty());
+  EXPECT_EQ(v, msg.value.payload);
+  EXPECT_EQ(v, Value(Value::Body{}));
+  EXPECT_EQ(lane.index(), 0u);
+}
+
+TEST(BlockValue, EqualityReadsTheContents) {
+  const Value a(three_op_body());
+  const Value b(three_op_body());
+  ASSERT_NE(a->full.ops.data(), b->full.ops.data());  // two bodies
+  EXPECT_EQ(a, b);
+  Value::Body other = three_op_body();
+  other.ids[1] = make_op_id(2, 9);
+  EXPECT_NE(a, Value(std::move(other)));
+  EXPECT_NE(a, Value());
+  EXPECT_NE(a, Value(compact_body()));
+}
+
+// Figures captured while the value still held its fields by value: the
+// shared body must charge every send the same bytes.
+TEST(BlockValue, WireSizeKeepsItsBytes) {
+  const Value full(three_op_body());
+  const Value compact(compact_body());
+  EXPECT_EQ(full.wire_size(), 380u);
+  EXPECT_EQ(compact.wire_size(), 44u);
+  TobCmd<Value> cmd;
+  cmd.origin = 1;
+  cmd.nonce = 3;
+  cmd.payload = full;
+  EXPECT_EQ(cmd.wire_size(), 392u);
+  ValueMsg accept;
+  accept.type = ValueMsg::Type::kAccept;
+  accept.value = cmd;
+  EXPECT_EQ(accept.wire_size(), 456u);
 }
 
 // ---------------------------------------------------------------------------

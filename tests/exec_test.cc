@@ -290,9 +290,8 @@ TEST(ExecEscalation, Erc721StateDependentOpsLeaveTheFastPath) {
   const auto s = ConflictPlanner<Erc721LedgerSpec>::plan(ledger, batch);
   EXPECT_EQ(s.escalated, 2u);
   // The two escalated ops sit alone in their waves.
-  const auto waves = s.grouped();
-  EXPECT_EQ(waves[s.wave[1]].size(), 1u);
-  EXPECT_EQ(waves[s.wave[2]].size(), 1u);
+  EXPECT_EQ(s.wave_ops(s.wave[1]).size(), 1u);
+  EXPECT_EQ(s.wave_ops(s.wave[2]).size(), 1u);
 }
 
 TEST(ExecEscalation, Erc20TotalSupplyIsABarrier) {

@@ -1,5 +1,7 @@
 // Tests for the single-decree Paxos engine (fixed groups): agreement and
-// validity under delays, drops, proposer duels, and acceptor crashes.
+// validity under delays, drops, proposer duels, and acceptor crashes;
+// a late proposer learning the decision, and per-instance proposer and
+// acceptor records ending at decide.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -116,6 +118,32 @@ TEST(Paxos, ManyInstancesIndependentDecisions) {
     const auto v = c.agreed(id);
     ASSERT_TRUE(v.has_value()) << "instance " << id;
     EXPECT_EQ(v->x, 1000 + id);
+  }
+}
+
+// Replica 3 is cut off while 0-2 decide; after the heal it proposes a
+// different value and learns the decided one from the catch-up replies.
+// Afterwards no engine holds a proposer or acceptor record.  Run with a
+// dense instance id and a dyntoken-style (account << 32) | slot one.
+TEST(Paxos, LateProposerLearnsDecisionAndRecordsEndAtDecide) {
+  for (const InstanceId id : {InstanceId{5}, (InstanceId{3} << 32) | 7}) {
+    Cluster c(4, NetConfig{.seed = 2, .min_delay = 1, .max_delay = 10});
+    c.net.partition({{0, 1, 2}, {3}});
+    c.nodes[0]->propose(id, Val{42});
+    c.net.run(200000);
+    ASSERT_TRUE(c.agreed(id).has_value()) << "id " << id;
+    EXPECT_FALSE(c.decided[3].contains(id));
+
+    c.net.heal();
+    c.nodes[3]->propose(id, Val{77});
+    EXPECT_EQ(c.nodes[3]->live_records(), 1u);  // its proposer
+    c.net.run(200000);
+    for (ProcessId p = 0; p < 4; ++p) {
+      ASSERT_TRUE(c.decided[p].contains(id)) << "replica " << p;
+      EXPECT_EQ(c.decided[p].at(id).x, 42u) << "replica " << p;
+      EXPECT_EQ(c.nodes[p]->decision(id).x, 42u) << "replica " << p;
+      EXPECT_EQ(c.nodes[p]->live_records(), 0u) << "replica " << p;
+    }
   }
 }
 

@@ -20,6 +20,9 @@
 //   * snapshot invariance — all recovery traffic is auxiliary-class, so
 //     in a run where nobody rejoins the committed history is invariant
 //     to snapshot_interval and prune;
+//   * retained-log figures — retained bytes and pruned slots pinned as
+//     integers per block workload × fault × cadence × prune, and a
+//     rejoiner's own, which count from its install slot up;
 //   * the double-submit guard — an OpId resubmitted against a replica
 //     whose history already applied it is refused at intake, and a
 //     racing resubmission through a SECOND replica (two blocks carrying
@@ -235,6 +238,66 @@ TEST(SnapshotInvariance, NonRejoinHistoryIgnoresSnapshotKnobs) {
 }
 
 // ---------------------------------------------------------------------------
+// Retained-log figures at seed 1, default intensity: the reference
+// replica's retained decided bytes and pruned slots.  Integers captured
+// while the broadcast still kept a decided map of its own; reading them
+// from the Paxos log must not move one.  (Interval 0 cuts nothing, so
+// prune is moot there.)
+// ---------------------------------------------------------------------------
+
+struct RetainedPin {
+  Workload workload;
+  FaultProfile fault;
+  std::uint64_t interval;
+  bool prune;
+  std::uint64_t retained_log_bytes;
+  std::uint64_t pruned_slots;
+};
+
+constexpr Workload kStorm = Workload::kErc20BlockStorm;
+constexpr Workload kMixed = Workload::kMixedBlockEscalate;
+constexpr FaultProfile kNone = FaultProfile::kNone;
+constexpr FaultProfile kLossy = FaultProfile::kLossyDup;
+constexpr FaultProfile kRejoin = FaultProfile::kCrashRejoin;
+
+constexpr RetainedPin kRetainedPins[] = {
+    {kStorm, kNone, 0, false, 9308, 0},   {kStorm, kNone, 2, false, 9308, 0},
+    {kStorm, kNone, 2, true, 1920, 16},   {kStorm, kNone, 4, false, 9308, 0},
+    {kStorm, kNone, 4, true, 3488, 12},   {kStorm, kLossy, 0, false, 9308, 0},
+    {kStorm, kLossy, 2, false, 9308, 0},  {kStorm, kLossy, 2, true, 1920, 16},
+    {kStorm, kLossy, 4, false, 9308, 0},  {kStorm, kLossy, 4, true, 1920, 16},
+    {kStorm, kRejoin, 0, false, 7368, 0}, {kStorm, kRejoin, 2, false, 7368, 0},
+    {kStorm, kRejoin, 2, true, 2456, 10}, {kStorm, kRejoin, 4, false, 7368, 0},
+    {kStorm, kRejoin, 4, true, 3488, 8},  {kMixed, kNone, 0, false, 9328, 0},
+    {kMixed, kNone, 2, false, 9328, 0},   {kMixed, kNone, 2, true, 784, 18},
+    {kMixed, kNone, 4, false, 9328, 0},   {kMixed, kNone, 4, true, 1940, 16},
+    {kMixed, kLossy, 0, false, 9328, 0},  {kMixed, kLossy, 2, false, 9328, 0},
+    {kMixed, kLossy, 2, true, 784, 18},   {kMixed, kLossy, 4, false, 9328, 0},
+    {kMixed, kLossy, 4, true, 1940, 16},  {kMixed, kRejoin, 0, false, 7264, 0},
+    {kMixed, kRejoin, 2, false, 7264, 0}, {kMixed, kRejoin, 2, true, 1940, 12},
+    {kMixed, kRejoin, 4, false, 7264, 0}, {kMixed, kRejoin, 4, true, 3880, 8},
+};
+
+TEST(RetainedLog, FiguresPinnedPerCell) {
+  for (const RetainedPin& pin : kRetainedPins) {
+    ScenarioConfig cfg;
+    cfg.workload = pin.workload;
+    cfg.fault = pin.fault;
+    cfg.seed = 1;
+    cfg.snapshot_interval = pin.interval;
+    cfg.prune = pin.prune;
+    const ScenarioReport rep = run_scenario(cfg);
+    const std::string cell = std::string(to_string(pin.workload)) + " " +
+                             to_string(pin.fault) + " interval " +
+                             std::to_string(pin.interval) +
+                             (pin.prune ? " prune" : "");
+    ASSERT_TRUE(rep.ok()) << cell << ": " << rep.summary();
+    EXPECT_EQ(rep.retained_log_bytes, pin.retained_log_bytes) << cell;
+    EXPECT_EQ(rep.pruned_slots, pin.pruned_slots) << cell;
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Edge cases, hand-rolled on a direct BlockReplicaNode cluster (the
 // scenario harness cannot reach inside the run to time these).
 // ---------------------------------------------------------------------------
@@ -370,6 +433,15 @@ TEST(RecoveryEdge, CutsAfterInstallHashEqualToSurvivors) {
     ++compared;
   }
   EXPECT_GE(compared, 10u);
+
+  // Without pruning, the rejoiner's Paxos log still holds the decisions
+  // below its install slot that reached it before the install; its
+  // retained log counts from the install slot up.  Integers captured
+  // while the broadcast still kept a decided map of its own.
+  EXPECT_EQ(rj.install_slot(), 6u);
+  EXPECT_EQ(rj.retained_slots(), 32u);
+  EXPECT_EQ(rj.retained_log_bytes(), 14280u);
+  EXPECT_EQ(c.nodes[0]->retained_slots(), 38u);
 }
 
 // Rejoin exactly at a fully-covering boundary: all traffic stops well
@@ -444,6 +516,13 @@ TEST(RecoveryEdge, PrunedQueryRedirectsToFreshSnapshot) {
   EXPECT_GT(rj.recovery().snap_requests_sent(), 1u);
   EXPECT_GT(rj.install_slot(), 2u);
   EXPECT_EQ(rj.history(), c.nodes[0]->history_from(rj.install_slot()));
+  // The rejoiner's retained log counts from its install slot up, though
+  // its Paxos log may hold decisions below it.  Integers captured while
+  // the broadcast still kept a decided map of its own.
+  EXPECT_EQ(rj.install_slot(), 34u);
+  EXPECT_EQ(rj.retained_slots(), 2u);
+  EXPECT_EQ(rj.pruned_slots(), 36u);
+  EXPECT_EQ(rj.retained_log_bytes(), 660u);
 }
 
 // ---------------------------------------------------------------------------
