@@ -262,10 +262,19 @@ class BlockReplicaNode {
   }
   std::string history() const { return core_.history(); }
   /// History suffix from `slot` on — a snapshot-installed rejoiner's
-  /// full history is compared against a correct replica's suffix from
-  /// the install boundary (ReplicaCore::history_from).
+  /// full history equals a correct replica's suffix from the install
+  /// boundary (ReplicaCore::history_from).
   std::string history_from(std::uint64_t slot) const {
     return core_.history_from(slot);
+  }
+  /// The audit's entry-wise comparisons (ReplicaCore's):
+  /// same_history(ref, slot) is history() == ref.history_from(slot).
+  bool same_history(const BlockReplicaNode& ref,
+                    std::uint64_t from_slot = 0) const {
+    return core_.same_history(ref.core_, from_slot);
+  }
+  bool history_prefix_of(const BlockReplicaNode& ref) const {
+    return core_.history_prefix_of(ref.core_);
   }
   const std::vector<Entry>& log() const noexcept { return core_.log(); }
   /// Per-BLOCK commit latencies (submit of the block -> local apply; in

@@ -339,6 +339,12 @@ class HybridReplicaNode {
 
   std::size_t submitted() const noexcept { return core_.submitted(); }
   std::string history() const { return core_.history(); }
+  bool same_history(const HybridReplicaNode& ref) const {
+    return core_.same_history(ref.core_);
+  }
+  bool history_prefix_of(const HybridReplicaNode& ref) const {
+    return core_.history_prefix_of(ref.core_);
+  }
   const std::vector<Entry>& log() const noexcept { return core_.log(); }
   std::uint64_t last_commit_time() const noexcept {
     return core_.last_commit_time();

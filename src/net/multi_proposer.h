@@ -373,6 +373,12 @@ class MultiProposerNode {
            tob_.all_settled() && parked_.empty();
   }
   std::string history() const { return core_.history(); }
+  bool same_history(const MultiProposerNode& ref) const {
+    return core_.same_history(ref.core_);
+  }
+  bool history_prefix_of(const MultiProposerNode& ref) const {
+    return core_.history_prefix_of(ref.core_);
+  }
   const std::vector<Entry>& log() const noexcept { return core_.log(); }
   /// Per-OP commit latencies (submit -> local apply of the slot whose
   /// sub-block carried the op; includes pool wait and any

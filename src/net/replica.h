@@ -135,6 +135,13 @@ class ReplicaNode {
 
   /// Canonical committed history (ReplicaCore's shared rendering).
   std::string history() const { return core_.history(); }
+  /// The audit's entry-wise comparisons (ReplicaCore's).
+  bool same_history(const ReplicaNode& ref) const {
+    return core_.same_history(ref.core_);
+  }
+  bool history_prefix_of(const ReplicaNode& ref) const {
+    return core_.history_prefix_of(ref.core_);
+  }
 
  private:
   void on_commit(std::uint64_t slot, ProcessId origin, std::uint64_t nonce,

@@ -8,10 +8,12 @@
 //   * the committed log     — Entry records in commit order, with the
 //                             local commit time deliberately excluded
 //                             from the canonical rendering;
-//   * history()             — the canonical committed-history string the
-//                             scenario audits compare byte-for-byte
-//                             across replicas ("<slot> p<origin>: <line>"
-//                             per entry);
+//   * history()             — the canonical committed-history string
+//                             ("<slot> p<origin>: <line>" per entry) a
+//                             report carries and digests; the scenario
+//                             audits compare replicas entry by entry
+//                             (same_history, history_prefix_of) with
+//                             the same verdict, never rendering;
 //   * commit latencies      — submit -> local-commit deltas of this
 //                             replica's own submissions, keyed by an
 //                             opaque submission key;
@@ -25,6 +27,7 @@
 // of DESIGN.md §11.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -83,6 +86,29 @@ class ReplicaCore {
     return h;
   }
 
+  /// history() == ref.history_from(from_slot), decided entry by entry:
+  /// slot, origin and line of each entry, in log order, against ref's
+  /// entries at or above `from_slot`.  Equal entries render equal lines,
+  /// so this is never looser than comparing the rendered strings.
+  bool same_history(const ReplicaCore& ref,
+                    std::uint64_t from_slot = 0) const {
+    auto mine = log_.begin();
+    for (const Entry& e : ref.log_) {
+      if (e.slot < from_slot) continue;
+      if (mine == log_.end() || !same_entry(*mine, e)) return false;
+      ++mine;
+    }
+    return mine == log_.end();
+  }
+
+  /// ref.history().starts_with(history()), decided entry by entry — the
+  /// audit's rule for a crashed replica, whose log stops mid-run.
+  bool history_prefix_of(const ReplicaCore& ref) const {
+    return log_.size() <= ref.log_.size() &&
+           std::equal(log_.begin(), log_.end(), ref.log_.begin(),
+                      same_entry);
+  }
+
   // --- settlement accounting -------------------------------------------
 
   void note_submission() noexcept { ++submitted_; }
@@ -114,6 +140,11 @@ class ReplicaCore {
   }
 
  private:
+  /// The rendered part of an entry; the local commit time is not.
+  static bool same_entry(const Entry& a, const Entry& b) {
+    return a.slot == b.slot && a.origin == b.origin && a.line == b.line;
+  }
+
   std::vector<Entry> log_;
   std::map<std::uint64_t, std::uint64_t> submit_time_;  // key -> time
   std::vector<std::uint64_t> latencies_;

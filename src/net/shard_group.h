@@ -822,15 +822,22 @@ class ShardedReplicaNode {
     }
     return out;
   }
-  std::string group_history(std::uint32_t g) const {
-    return groups_.at(g)->history();
+  /// history() == ref.history(), decided group by group without
+  /// rendering.
+  bool same_history(const ShardedReplicaNode& ref) const {
+    if (groups_.size() != ref.groups_.size()) return false;
+    for (std::uint32_t g = 0; g < groups_.size(); ++g) {
+      if (!groups_[g]->same_history(*ref.groups_[g])) return false;
+    }
+    return true;
   }
   /// The crashed-replica rule: a crash stops every group's log
   /// independently, so the concatenation is no prefix of the reference's
   /// — each group's history must be a prefix of the reference's group.
   bool history_prefix_of(const ShardedReplicaNode& ref) const {
+    if (groups_.size() != ref.groups_.size()) return false;
     for (std::uint32_t g = 0; g < groups_.size(); ++g) {
-      if (!ref.group_history(g).starts_with(group_history(g))) return false;
+      if (!groups_[g]->history_prefix_of(*ref.groups_[g])) return false;
     }
     return true;
   }

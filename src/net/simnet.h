@@ -36,10 +36,21 @@
 // call_at(node, delay, fn) is a node-local callback that dies with the
 // node (client drivers use it to submit operations over time).
 //
+// Two event sources feed step().  The event heap holds what is in
+// flight: messages, timers, control events and every callback scheduled
+// while the run is going.  The client script — node-local callbacks
+// registered with script_at before the first step — waits beside it in
+// one vector sorted once by (time, tie), so a script of tens of
+// thousands of submits costs no heap slot until it fires.  step() pops
+// whichever source's head has the smaller (time, tie); both draw ties
+// from the same sequence, so the pop order is the one a single heap of
+// both would give.
+//
 // SimNet is templated on the wire-message type; each protocol defines its
 // own message struct and registers a delivery handler per node.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -247,6 +258,17 @@ class SimNet {
                      node, Msg{}, 0, std::move(fn)});
   }
 
+  /// Registers fn at now + delay on `node` in the client script: call_at's
+  /// semantics (the same tie draw; dropped if the node has crashed by
+  /// then), but the entry waits in the script vector instead of the event
+  /// heap.  A script is registered whole before the run starts.
+  void script_at(ProcessId node, std::uint64_t delay, Callback fn) {
+    TS_EXPECTS(node < num_nodes());
+    TS_EXPECTS(!started_);
+    script_.push_back(
+        ScriptEntry{now_ + delay, next_tie(false), node, std::move(fn)});
+  }
+
   /// Schedules a net-level control action at now + delay — runs
   /// unconditionally (fault schedules: partitions, crashes, heals).
   void schedule(std::uint64_t delay, Callback fn) {
@@ -254,8 +276,15 @@ class SimNet {
                      Msg{}, 0, std::move(fn)});
   }
 
-  /// Delivers the next event; false when the queue is empty.
+  /// Delivers the next event — the heap's or the script's, whichever
+  /// comes first by (time, tie); false when both are empty.
   bool step() {
+    if (!started_) sort_script();
+    if (next_ < order_.size() &&
+        (queue_.empty() || Later{}(queue_.top(), order_[next_]))) {
+      fire_script();
+      return true;
+    }
     if (queue_.empty()) return false;
     const std::uint32_t slot = queue_.top().slot;
     queue_.pop();
@@ -296,10 +325,11 @@ class SimNet {
     return processed;
   }
 
-  bool idle() const noexcept { return queue_.empty(); }
+  bool idle() const noexcept { return queue_.empty() && script_.empty(); }
 
   /// Event slots allocated so far: the high-water mark of simultaneously
-  /// queued events, since a dispatched event's slot is reused.
+  /// queued heap events, since a dispatched event's slot is reused.
+  /// Script entries never take a slot.
   std::size_t event_slots() const noexcept { return slab_.size(); }
 
  private:
@@ -317,9 +347,10 @@ class SimNet {
     std::uint64_t timer_id;
     Callback fn;
   };
-  /// What the heap orders: an event's (time, tie) and its slab slot.
-  /// (time, tie) is unique per event, so the pop sequence is fixed by
-  /// the keys alone — sifting moves 24 bytes, never a Msg or a Callback.
+  /// What the heap orders: an event's (time, tie) and its slab slot (in
+  /// the script's order, the entry's index).  (time, tie) is unique per
+  /// event, so the pop sequence is fixed by the keys alone — sifting
+  /// moves 24 bytes, never a Msg or a Callback.
   struct Key {
     std::uint64_t time;
     std::uint64_t tie;
@@ -330,6 +361,45 @@ class SimNet {
       return a.time != b.time ? a.time > b.time : a.tie > b.tie;
     }
   };
+
+  /// One script_at registration.  56 bytes, no Msg: a closure that fits
+  /// std::function's inline buffer costs nothing more.
+  struct ScriptEntry {
+    std::uint64_t time;
+    std::uint64_t tie;
+    ProcessId node;
+    Callback fn;
+  };
+
+  /// Orders the script once, at the first step: by (time, tie) keys that
+  /// index the entries, so the sort never moves a Callback.
+  void sort_script() {
+    started_ = true;
+    order_.reserve(script_.size());
+    for (std::uint32_t i = 0; i < script_.size(); ++i) {
+      order_.push_back(Key{script_[i].time, script_[i].tie, i});
+    }
+    std::sort(order_.begin(), order_.end(),
+              [](const Key& a, const Key& b) { return Later{}(b, a); });
+  }
+
+  /// Fires the script's head.  The callback is moved out before it runs,
+  /// so the last entry can free the script's storage first: a run's
+  /// memory peaks later, at the end-of-run audit, where a kept vector
+  /// would still count.
+  void fire_script() {
+    const Key k = order_[next_++];
+    ScriptEntry& e = script_[k.slot];
+    const ProcessId node = e.node;
+    Callback fn = std::move(e.fn);
+    if (next_ == order_.size()) {
+      std::vector<ScriptEntry>().swap(script_);
+      std::vector<Key>().swap(order_);
+      next_ = 0;
+    }
+    now_ = k.time;
+    if (!crashed_[node]) fn();
+  }
 
   void push_event(Event e) {
     std::uint32_t slot;
@@ -385,6 +455,13 @@ class SimNet {
   std::vector<Event> slab_;
   std::vector<std::uint32_t> free_;
   std::priority_queue<Key, std::vector<Key>, Later> queue_;
+  // The client script: entries in registration order, and from the first
+  // step on their (time, tie) keys sorted, with `next_` the cursor.  Both
+  // vectors are freed when the last entry fires.
+  std::vector<ScriptEntry> script_;
+  std::vector<Key> order_;
+  std::size_t next_ = 0;
+  bool started_ = false;
   NetStats stats_;
 };
 

@@ -274,10 +274,10 @@ void arm_crash_rejoin(BlockCluster<Spec>& h,
 
 /// Block runtime: the recovery counters, and the crash-rejoin audit.  The
 /// rejoiner's log STARTS at its snapshot install boundary, so it must
-/// match the reference history's SUFFIX from that boundary byte for
-/// byte, and its installed snapshot hash must equal the reference's
-/// retained hash at the same boundary (same cut of the same committed
-/// prefix, so the same bytes and the same hash).
+/// match the reference's log SUFFIX from that boundary entry for entry
+/// (compared in place), and its installed snapshot hash must equal the
+/// reference's retained hash at the same boundary (same cut of the same
+/// committed prefix, so the same bytes and the same hash).
 template <typename Spec>
 void block_extras(ScenarioReport& rep, const BlockCluster<Spec>& h) {
   const auto& ref = h.node(h.reference());
@@ -292,7 +292,7 @@ void block_extras(ScenarioReport& rep, const BlockCluster<Spec>& h) {
     rep.violations.push_back("rejoiner still recovering or unsettled");
   }
   const std::uint64_t at = r.install_slot();
-  if (r.history() != ref.history_from(at)) {
+  if (!r.same_history(ref, at)) {
     rep.agreement = false;
     rep.violations.push_back(
         "rejoiner history diverges from the reference suffix at slot " +

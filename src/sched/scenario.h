@@ -3,10 +3,10 @@
 //
 // A scenario is a pure function of (workload, fault profile, seed): it
 // builds a replica cluster, arms a fault schedule (link loss,
-// duplication, a partition that heals, a minority crash), drives a
-// deterministic client script through SimNet::call_at, drains the network
-// to convergence, and audits the committed histories.  The five replica
-// runtimes (ReplicaNode, BlockReplicaNode, MultiProposerNode,
+// duplication, a partition that heals, a minority crash), registers a
+// deterministic client script through SimNet::script_at, drains the
+// network to convergence, and audits the committed histories.  The five
+// replica runtimes (ReplicaNode, BlockReplicaNode, MultiProposerNode,
 // HybridReplicaNode, ShardedReplicaNode) present one surface,
 // ReplicaRuntime, and ride one driver, ClusterHarness, with one audit;
 // each runtime adds only its own counters and checks.  DynTokenNode, the
@@ -516,6 +516,10 @@ concept ReplicaRuntime = requires(N& n, const N& c) {
   { c.submitted() } -> std::convertible_to<std::size_t>;
   { c.all_settled() } -> std::convertible_to<bool>;
   { c.history() } -> std::convertible_to<std::string>;
+  // The audit's entry-wise comparisons (ReplicaCore::same_history and
+  // history_prefix_of): the rendered histories' verdict, never rendering.
+  { c.same_history(c) } -> std::convertible_to<bool>;
+  { c.history_prefix_of(c) } -> std::convertible_to<bool>;
   c.commit_latencies();
   { c.slots_committed() } -> std::convertible_to<std::size_t>;
   { c.ops_committed() } -> std::convertible_to<std::size_t>;
@@ -541,7 +545,9 @@ concept RelayingRuntime = ReplicaRuntime<N> && requires(const N& c) {
 /// run is a pure function of it: the fault schedule, then the nodes, then
 /// whatever the caller arms right after construction (a rejoin,
 /// equivocators), then the script's submits, then finish()'s deadline
-/// ticks.
+/// ticks.  The submits and the ticks go into SimNet's script (script_at),
+/// not its event heap: they draw their ties in this same order, so the
+/// run is the same, and only what is in flight ever occupies the heap.
 template <ReplicaRuntime Node>
 class ClusterHarness {
  public:
@@ -571,22 +577,22 @@ class ClusterHarness {
   std::size_t reference() const { return reference_replica(correct_); }
   std::optional<ProcessId> rejoiner() const noexcept { return rejoiner_; }
 
-  /// Schedules `node.submit(args...)` at replica `p`, time `t`.  The node
-  /// is looked up when the event fires: a rejoin rebuilds it, and an event
-  /// after the restart must reach the new instance.  (The arguments are
-  /// captured flat, not through at(): every pending submit holds one
-  /// closure, and a nested one is larger.)
+  /// Scripts `node.submit(args...)` at replica `p`, time `t`.  The node
+  /// is looked up when the entry fires: a rejoin rebuilds it, and an
+  /// entry after the restart must reach the new instance.  (The arguments
+  /// are captured flat, not through at(): every pending submit holds one
+  /// closure, and a nested one is larger.)  Call before finish().
   template <typename... A>
   void submit_at(ProcessId p, std::uint64_t t, A... args) {
-    net_.call_at(p, t, [this, p, args...] { nodes_[p]->submit(args...); });
+    net_.script_at(p, t, [this, p, args...] { nodes_[p]->submit(args...); });
     last_submit_ = std::max(last_submit_, t);
   }
 
-  /// Schedules `fn(node)` at replica `p`, time `t`, looked up like
+  /// Scripts `fn(node)` at replica `p`, time `t`, looked up like
   /// submit_at's.
   template <typename Fn>
   void at(ProcessId p, std::uint64_t t, Fn fn) {
-    net_.call_at(p, t, [this, p, fn] { fn(*nodes_[p]); });
+    net_.script_at(p, t, [this, p, fn] { fn(*nodes_[p]); });
     last_submit_ = std::max(last_submit_, t);
   }
 
@@ -613,8 +619,8 @@ class ClusterHarness {
     void operator()(ScenarioReport&, const ClusterHarness&) const {}
   };
 
-  /// Arms the deadline ticks, drains, runs the terminal epoch, audits and
-  /// reports.  `conserve(state)` renders the workload's conservation
+  /// Scripts the deadline ticks, drains, runs the terminal epoch, audits
+  /// and reports.  `conserve(state)` renders the workload's conservation
   /// violation for one replica's replicated state, or nullopt; it runs on
   /// every replica (nullptr: the extras audit conservation themselves).
   /// `extras(rep, *this)` adds the runtime's own counters and audits.
@@ -659,9 +665,10 @@ class ClusterHarness {
 
  private:
   /// Deadline ticks for the runtimes that cut on them: every replica,
-  /// every block_deadline units (p-major), until two periods past the
-  /// last submit so every pooled op gets a cut — and with a rejoiner,
-  /// long enough past the rejoin for its post-recovery pool to get cuts.
+  /// every block_deadline units (p-major, so the script is out of time
+  /// order until SimNet sorts it), until two periods past the last submit
+  /// so every pooled op gets a cut — and with a rejoiner, long enough
+  /// past the rejoin for its post-recovery pool to get cuts.
   void arm_deadlines() {
     if constexpr (requires(Node& n) { n.on_deadline(); }) {
       const std::uint64_t period =
@@ -672,22 +679,24 @@ class ClusterHarness {
       }
       for (ProcessId p = 0; p < nodes_.size(); ++p) {
         for (std::uint64_t t = period; t <= horizon; t += period) {
-          net_.call_at(p, t, [this, p] { nodes_[p]->on_deadline(); });
+          net_.script_at(p, t, [this, p] { nodes_[p]->on_deadline(); });
         }
       }
     }
   }
 
-  /// Correct replicas must be settled and byte-identical to the reference
-  /// history, and their latencies merge into the summary; a crashed
-  /// replica must hold a prefix of the reference history.
+  /// Correct replicas must be settled and hold the reference's committed
+  /// log entry for entry, and their latencies merge into the summary; a
+  /// crashed replica must hold a prefix of the reference's log (per
+  /// group, for the sharded runtime).  Entries are compared in place:
+  /// only the reference's history is rendered, once, for the report.
   void audit_agreement(ScenarioReport& rep, const Node& ref) const {
     std::vector<std::uint64_t> lats;
     for (std::size_t p = 0; p < nodes_.size(); ++p) {
       const Node& n = *nodes_[p];
       const std::string who = "replica " + std::to_string(p);
       if (!correct_[p]) {
-        if (!prefix_of(n, ref, rep.history)) {
+        if (!n.history_prefix_of(ref)) {
           rep.agreement = false;
           rep.violations.push_back("crashed " + who +
                                    " history is not a prefix");
@@ -702,23 +711,12 @@ class ClusterHarness {
         rep.settled = false;
         rep.violations.push_back(who + " has unsettled submissions");
       }
-      if (n.history() != rep.history) {
+      if (!n.same_history(ref)) {
         rep.agreement = false;
         rep.violations.push_back(who + " history diverges");
       }
     }
     rep.latency = summarize_latencies(std::move(lats));
-  }
-
-  /// A crashed replica stops mid-log; what it did commit must be a prefix
-  /// of the survivors' history (per group, for the sharded runtime).
-  static bool prefix_of(const Node& n, const Node& ref,
-                        const std::string& ref_history) {
-    if constexpr (requires { n.history_prefix_of(ref); }) {
-      return n.history_prefix_of(ref);
-    } else {
-      return ref_history.starts_with(n.history());
-    }
   }
 
   /// The replicated state a conservation check reads.

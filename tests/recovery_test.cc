@@ -358,6 +358,19 @@ struct Cluster {
   }
 };
 
+/// The rejoin audit's entry-wise comparison (block_extras) gives the
+/// rendered strings' verdict on a real rejoiner: true at its install
+/// slot, and agreeing with history_from one slot either side of it.
+void expect_suffix_audits_agree(const Node& rj, const Node& ref) {
+  const std::uint64_t at = rj.install_slot();
+  EXPECT_TRUE(rj.same_history(ref, at));
+  for (const std::uint64_t from : {at > 0 ? at - 1 : at, at, at + 1}) {
+    EXPECT_EQ(rj.same_history(ref, from),
+              rj.history() == ref.history_from(from))
+        << "from slot " << from;
+  }
+}
+
 // Rejoin DURING an active partition: the rejoiner's snapshot requests
 // vanish into the cut links; the aux retry timer keeps the fetch alive
 // until the heal, after which it installs and catches up normally.
@@ -383,6 +396,7 @@ TEST(RecoveryEdge, RejoinInsideActivePartitionHealsAfter) {
   EXPECT_GT(rj.recovery().snap_requests_sent(), 1u);
   EXPECT_GT(rj.install_slot(), 0u);
   EXPECT_EQ(rj.history(), c.nodes[0]->history_from(rj.install_slot()));
+  expect_suffix_audits_agree(rj, *c.nodes[0]);
   const auto want = c.nodes[0]->recovery().store().hash_at(rj.install_slot());
   ASSERT_TRUE(want.has_value());
   EXPECT_EQ(*want, rj.installed_snapshot_hash());
@@ -419,6 +433,7 @@ TEST(RecoveryEdge, CutsAfterInstallHashEqualToSurvivors) {
   for (ProcessId p = 0; p < 3; ++p) submitted += c.nodes[p]->submitted();
   EXPECT_EQ(c.nodes[0]->ops_committed() + 1, submitted);
   EXPECT_EQ(rj.history(), c.nodes[0]->history_from(rj.install_slot()));
+  expect_suffix_audits_agree(rj, *c.nodes[0]);
 
   const auto& mine = rj.recovery().store();
   const auto& ref = c.nodes[0]->recovery().store();
@@ -465,6 +480,7 @@ TEST(RecoveryEdge, RejoinAtCoveringBoundaryReplaysNothing) {
   EXPECT_EQ(rj.catchup_ops(), 0u);
   EXPECT_EQ(rj.install_slot(), c.nodes[0]->slots_committed());
   EXPECT_EQ(rj.history(), c.nodes[0]->history_from(rj.install_slot()));
+  expect_suffix_audits_agree(rj, *c.nodes[0]);
   EXPECT_TRUE(rj.history().empty());  // nothing after the boundary
 }
 
@@ -516,6 +532,7 @@ TEST(RecoveryEdge, PrunedQueryRedirectsToFreshSnapshot) {
   EXPECT_GT(rj.recovery().snap_requests_sent(), 1u);
   EXPECT_GT(rj.install_slot(), 2u);
   EXPECT_EQ(rj.history(), c.nodes[0]->history_from(rj.install_slot()));
+  expect_suffix_audits_agree(rj, *c.nodes[0]);
   // The rejoiner's retained log counts from its install slot up, though
   // its Paxos log may hold decisions below it.  Integers captured while
   // the broadcast still kept a decided map of its own.

@@ -10,9 +10,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <tuple>
+#include <vector>
+
 #include "core/erc721_consensus.h"
 #include "core/erc777_consensus.h"
 #include "core/kat_consensus.h"
+#include "exec/exec_specs.h"
+#include "net/block_replica.h"
+#include "net/replica_core.h"
 
 namespace tokensync {
 namespace {
@@ -272,6 +280,147 @@ TEST(ReplicatedRace, ExactlyOneWinnerEveryProfile) {
     const auto rep = run_token_race_scenario<KatRaceSpec>(4, f, 3, "race_kat");
     EXPECT_TRUE(rep.agreement) << rep.summary();
     for (const std::string& v : rep.violations) ADD_FAILURE() << v;
+  }
+}
+
+// --- The harness's script rides SimNet's sorted cursor, not its heap:
+// --- the event slab holds only what is in flight, however long the run.
+
+struct StormRun {
+  std::size_t script = 0;  ///< entries registered: submits + deadline ticks
+  std::size_t slots = 0;   ///< net().event_slots() after finish()
+};
+
+/// A block_storm-shaped run: tsbench's block knobs (64-op blocks, a
+/// deadline every 200 ticks), and each replica submitting three ERC20
+/// transfers every 17 ticks for `beats` beats.
+StormRun block_storm_script(std::size_t beats) {
+  constexpr std::size_t kAccts = 16;
+  constexpr std::uint64_t kPeriod = 200;
+  ScenarioConfig c = cfg(Workload::kErc20BlockStorm, FaultProfile::kNone, 16);
+  c.intensity = beats;
+  c.block_max_ops = 64;
+  c.block_deadline = kPeriod;
+  const Erc20State initial(
+      std::vector<Amount>(kAccts, 100),
+      std::vector<std::vector<Amount>>(kAccts,
+                                       std::vector<Amount>(kAccts, 2)));
+  ClusterHarness<BlockReplicaNode<Erc20LedgerSpec>> h(
+      c, initial, BlockConfig{.max_ops = 64, .deadline = kPeriod},
+      ExecOptions{.threads = 1});
+  Rng rng(c.seed);
+  StormRun r;
+  std::uint64_t last = 0;
+  for (std::size_t j = 0; j < beats; ++j) {
+    for (ProcessId p = 0; p < c.num_replicas; ++p) {
+      for (std::uint64_t k = 0; k < 3; ++k) {
+        const auto caller = static_cast<ProcessId>(rng.below(kAccts));
+        const auto dst = static_cast<AccountId>(rng.below(kAccts));
+        last = 10 + 17 * j + 4 * p + k;
+        h.submit_at(p, last, caller,
+                    Erc20Op::transfer(dst, 1 + rng.below(3)));
+        ++r.script;
+      }
+    }
+  }
+  // finish()'s ticks: every replica, every period, through two periods
+  // past the last submit.
+  r.script += c.num_replicas * ((last + 2 * kPeriod) / kPeriod);
+  const ScenarioReport rep = h.finish(nullptr);
+  expect_ok(rep);
+  EXPECT_EQ(rep.committed, 12 * beats);
+  r.slots = h.net().event_slots();
+  return r;
+}
+
+TEST(ClusterHarnessScript, EventSlotsDoNotGrowWithTheScript) {
+  const StormRun one = block_storm_script(1000);
+  const StormRun four = block_storm_script(4000);
+  EXPECT_GT(one.slots, 0u);
+  // In flight at once: at most 1.25x more at four times the length, and
+  // under 1% of the script at either length.
+  EXPECT_LE(4 * four.slots, 5 * one.slots)
+      << one.slots << " -> " << four.slots;
+  EXPECT_LT(100 * one.slots, one.script) << one.slots << " / " << one.script;
+  EXPECT_LT(100 * four.slots, four.script)
+      << four.slots << " / " << four.script;
+}
+
+// --- The audit compares committed logs in place: ReplicaCore's
+// --- entry-wise comparisons give the rendered strings' verdict.
+
+using Entries = std::vector<std::tuple<std::uint64_t, ProcessId, std::string>>;
+
+ReplicaCore log_of(const Entries& entries, std::uint64_t time = 0) {
+  ReplicaCore core;
+  for (const auto& [slot, origin, line] : entries) {
+    core.append(slot, origin, time++, line);
+  }
+  return core;
+}
+
+TEST(ReplicaCoreAudit, SameHistoryComparesSlotOriginAndLineOfEveryEntry) {
+  const ReplicaCore ref = log_of({{0, 0, "a"}, {1, 2, "b"}, {2, 1, "c"}});
+  struct Case {
+    const char* what;
+    ReplicaCore core;
+    bool same;
+  };
+  const Case cases[] = {
+      {"equal", log_of({{0, 0, "a"}, {1, 2, "b"}, {2, 1, "c"}}), true},
+      {"other commit times",
+       log_of({{0, 0, "a"}, {1, 2, "b"}, {2, 1, "c"}}, 50), true},
+      {"line", log_of({{0, 0, "a"}, {1, 2, "B"}, {2, 1, "c"}}), false},
+      {"origin", log_of({{0, 0, "a"}, {1, 3, "b"}, {2, 1, "c"}}), false},
+      {"slot", log_of({{0, 0, "a"}, {1, 2, "b"}, {3, 1, "c"}}), false},
+      {"extra", log_of({{0, 0, "a"}, {1, 2, "b"}, {2, 1, "c"}, {3, 0, "d"}}),
+       false},
+      {"missing", log_of({{0, 0, "a"}, {2, 1, "c"}}), false},
+      {"empty", log_of({}), false},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(c.core.same_history(ref), c.same) << c.what;
+    EXPECT_EQ(c.core.same_history(ref), c.core.history() == ref.history())
+        << c.what;
+  }
+  // From a slot on: the suffix a snapshot-installed rejoiner holds.
+  const ReplicaCore suffix = log_of({{1, 2, "b"}, {2, 1, "c"}});
+  for (std::uint64_t from = 0; from <= 3; ++from) {
+    EXPECT_EQ(suffix.same_history(ref, from), from == 1) << from;
+    EXPECT_EQ(suffix.same_history(ref, from),
+              suffix.history() == ref.history_from(from))
+        << from;
+  }
+  EXPECT_TRUE(log_of({}).same_history(ref, 3));
+  // Never looser than the rendering: a line that embeds the next
+  // entry's rendering renders equal but is not the same log.
+  const ReplicaCore folded = log_of({{0, 0, "a"}, {1, 2, "b\n2 p1: c"}});
+  EXPECT_EQ(folded.history(), ref.history());
+  EXPECT_FALSE(folded.same_history(ref));
+}
+
+TEST(ReplicaCoreAudit, PrefixPassesAndDivergenceFails) {
+  const ReplicaCore ref = log_of({{0, 0, "a"}, {1, 2, "b"}, {2, 1, "c"}});
+  struct Case {
+    const char* what;
+    ReplicaCore core;
+    bool prefix;
+  };
+  const Case cases[] = {
+      {"empty", log_of({}), true},
+      {"strict prefix", log_of({{0, 0, "a"}, {1, 2, "b"}}, 9), true},
+      {"whole log", log_of({{0, 0, "a"}, {1, 2, "b"}, {2, 1, "c"}}), true},
+      {"diverging line", log_of({{0, 0, "a"}, {1, 2, "x"}}), false},
+      {"diverging origin", log_of({{0, 0, "a"}, {1, 0, "b"}}), false},
+      {"diverging slot", log_of({{0, 0, "a"}, {4, 2, "b"}}), false},
+      {"longer", log_of({{0, 0, "a"}, {1, 2, "b"}, {2, 1, "c"}, {3, 0, "d"}}),
+       false},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(c.core.history_prefix_of(ref), c.prefix) << c.what;
+    EXPECT_EQ(c.core.history_prefix_of(ref),
+              ref.history().starts_with(c.core.history()))
+        << c.what;
   }
 }
 

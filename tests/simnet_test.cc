@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -178,6 +180,146 @@ TEST(SimNet, EqualTimePrimaryAndAuxEventsPopInTieOrder) {
   net.set_timer(0, 3, 6);      // earlier time wins over any tie
   net.run();
   EXPECT_EQ(fired, (std::vector<std::uint64_t>{6, 0, 2, 1, 4, 3, 5}));
+}
+
+// --- The client script (script_at): a sorted cursor beside the heap.
+
+/// One observed firing: (kind, node, id, now).
+using Fired = std::tuple<char, ProcessId, std::uint64_t, std::uint64_t>;
+
+/// A mixed run on a lossy, duplicating 3-node net: a client script of
+/// 300 entries registered out of time order, interleaved with control
+/// events (a crash and a restart); each entry sends a message and arms a
+/// primary and an aux timer at the same tick, and some schedule an
+/// in-run call_at.  Handlers forward messages and timers re-send, so the
+/// heap carries real traffic between script entries.  `scripted` picks
+/// how the script is registered: script_at, or call_at (the reference).
+/// Returns every firing and now() after every step.
+std::pair<std::vector<Fired>, std::vector<std::uint64_t>> mixed_run(
+    bool scripted) {
+  constexpr std::size_t kN = 3;
+  SimNet<Ping> net(kN, NetConfig{.seed = 19, .min_delay = 1, .max_delay = 4,
+                                 .drop_num = 10, .dup_num = 10});
+  std::vector<Fired> fired;
+  for (ProcessId p = 0; p < kN; ++p) {
+    net.set_handler(p, [&net, &fired, p](ProcessId, const Ping& m) {
+      fired.emplace_back('m', p, m.id, net.now());
+      if (m.id % 3 == 0 && m.id < 5000) {
+        net.send(p, (p + 1) % kN, Ping{m.id + 1});
+      }
+    });
+    net.set_timer_handler(p, [&net, &fired, p](std::uint64_t id) {
+      fired.emplace_back('t', p, id, net.now());
+      if (id % 4 == 0) net.send(p, (p + 2) % kN, Ping{static_cast<int>(id)});
+    });
+  }
+  Rng rng(5);
+  for (int i = 0; i < 300; ++i) {
+    if (i == 100) net.schedule(40, [&net] { net.crash(2); });
+    if (i == 200) net.schedule(90, [&net] { net.restart(2); });
+    const auto node = static_cast<ProcessId>(rng.below(kN));
+    const std::uint64_t t = rng.range(0, 150);
+    auto fn = [&net, &fired, node, i] {
+      fired.emplace_back('c', node, i, net.now());
+      net.send(node, (node + 1) % kN, Ping{3 * i});
+      net.set_timer(node, 3, 2 * static_cast<std::uint64_t>(i));
+      net.set_timer_aux(node, 3, 2 * static_cast<std::uint64_t>(i) + 1);
+      if (i % 7 == 0) {
+        net.call_at(node, 2, [&net, &fired, node, i] {
+          fired.emplace_back('a', node, i, net.now());
+        });
+      }
+    };
+    if (scripted) {
+      net.script_at(node, t, fn);
+    } else {
+      net.call_at(node, t, fn);
+    }
+  }
+  std::vector<std::uint64_t> nows;
+  while (net.step()) nows.push_back(net.now());
+  return {fired, nows};
+}
+
+TEST(SimNetScript, FiresTheSequenceCallAtWould) {
+  const auto heap = mixed_run(false);
+  const auto script = mixed_run(true);
+  ASSERT_GT(heap.first.size(), 1000u);
+  EXPECT_EQ(heap.first, script.first);
+  EXPECT_EQ(heap.second, script.second);
+  // The crash window dropped some of node 2's entries, in both runs.
+  const auto calls = std::count_if(
+      script.first.begin(), script.first.end(),
+      [](const Fired& f) { return std::get<0>(f) == 'c'; });
+  EXPECT_GT(calls, 0);
+  EXPECT_LT(calls, 300);
+}
+
+TEST(SimNetScript, OutOfOrderRegistrationFiresInTimeThenTieOrder) {
+  SimNet<Ping> net(1, NetConfig{});
+  std::vector<std::pair<int, std::uint64_t>> fired;  // (id, now)
+  const std::uint64_t times[] = {5, 3, 5, 1, 3, 9, 0};
+  for (int id = 0; id < 7; ++id) {
+    net.script_at(0, times[id], [&net, &fired, id] {
+      fired.emplace_back(id, net.now());
+    });
+  }
+  net.run();
+  EXPECT_EQ(fired, (std::vector<std::pair<int, std::uint64_t>>{
+                       {6, 0}, {3, 1}, {1, 3}, {4, 3}, {0, 5}, {2, 5},
+                       {5, 9}}));
+}
+
+TEST(SimNetScript, EntriesOfACrashedNodeAreDroppedUntilItRestarts) {
+  SimNet<Ping> net(2, NetConfig{});
+  std::vector<std::uint64_t> fired;
+  for (const std::uint64_t t : {5, 10, 12, 20, 30}) {
+    net.script_at(1, t, [&net, &fired] { fired.push_back(net.now()); });
+  }
+  net.script_at(0, 11, [&net, &fired] { fired.push_back(100 + net.now()); });
+  net.schedule(7, [&net] { net.crash(1); });
+  net.schedule(15, [&net] { net.restart(1); });
+  EXPECT_EQ(net.run(), 8u);  // six entries and two control events
+  EXPECT_EQ(fired, (std::vector<std::uint64_t>{5, 111, 20, 30}));
+}
+
+TEST(SimNetScript, ScriptEntriesKeepTheNetBusyAndCountAsEvents) {
+  SimNet<Ping> net(1, NetConfig{});
+  int fired = 0;
+  EXPECT_TRUE(net.idle());
+  for (std::uint64_t t = 1; t <= 5; ++t) {
+    net.script_at(0, t, [&fired] { ++fired; });
+  }
+  EXPECT_FALSE(net.idle());  // only script entries remain
+  EXPECT_EQ(net.run(2), 2u);
+  EXPECT_EQ(fired, 2);
+  EXPECT_FALSE(net.idle());
+  EXPECT_EQ(net.run(), 3u);
+  EXPECT_EQ(fired, 5);
+  EXPECT_TRUE(net.idle());
+  EXPECT_FALSE(net.step());
+}
+
+TEST(SimNetScript, EventSlotsCountOnlyHeapEvents) {
+  // 2000 scripted entries, each putting one message in flight that lands
+  // before the next entry fires: one slot serves the whole run.
+  SimNet<Ping> net(2, NetConfig{.seed = 4, .min_delay = 1, .max_delay = 3});
+  int delivered = 0;
+  net.set_handler(1, [&delivered](ProcessId, const Ping&) { ++delivered; });
+  for (std::uint64_t i = 0; i < 2000; ++i) {
+    net.script_at(0, 10 * i, [&net] { net.send(0, 1, Ping{}); });
+  }
+  EXPECT_EQ(net.event_slots(), 0u);
+  EXPECT_EQ(net.run(), 4000u);
+  EXPECT_EQ(delivered, 2000);
+  EXPECT_EQ(net.event_slots(), 1u);
+}
+
+TEST(SimNetScript, RegistrationAfterTheFirstStepIsRefused) {
+  SimNet<Ping> net(1, NetConfig{});
+  net.script_at(0, 1, [] {});
+  ASSERT_TRUE(net.step());
+  EXPECT_DEATH(net.script_at(0, 5, [] {}), "precondition failed: !started_");
 }
 
 }  // namespace
