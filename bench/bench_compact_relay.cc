@@ -25,8 +25,9 @@
 //   proposal_bytes / bytes_per_slot — consensus-value bytes behind the
 //                reference replica's committed slots (E18's >= 5x drop
 //                at block size 8);
-//   miss_recoveries — blocks/commands that needed the kGetOps
-//                round-trip (non-zero only under compact + loss);
+//   miss_recoveries — blocks/commands that needed the payload
+//                exchange's kGet round-trip (non-zero only under
+//                compact + loss);
 //   msgs_sent, commit_p50/p99, commits_per_ktime — the cost side:
 //                recovery round-trips and batch cut waits show up here,
 //                not in the history.

@@ -30,7 +30,7 @@
 //                proposals cost ~16 B per sub-block regardless of op
 //                payload size;
 //   miss_recoveries — committed references whose sub-block needed the
-//                kGetSubs round-trip (non-zero under loss).
+//                payload exchange's kGet round-trip (non-zero under loss).
 //
 // Wall-clock time per iteration is the SIMULATION cost, not a protocol
 // claim (same caveat as bench_simnet).  Alongside the console output

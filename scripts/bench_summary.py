@@ -62,7 +62,7 @@ def rows_for(path):
         # fast-lane commits vs the all-Paxos baseline's message bill),
         # the wire-size counters (every SimNet bench via
         # export_net_counters, plus bench_compact_relay's consensus-value
-        # bytes and kGetOps recovery count), the recovery counters
+        # bytes and kGet recovery count), the recovery counters
         # (bench_recovery: snapshot/prune/catch-up accounting), and the
         # sharding counters (bench_sharding: per-group consensus slots
         # and the 2PC/migration protocol volume), the Byzantine

@@ -18,18 +18,12 @@
 // until all earlier slots are known).  The decided log is the Paxos
 // engine's own: this layer keeps no second copy of any decision.
 //
-// Pipelining (the block pipeline's knob): with `window` = w > 1 the node
-// keeps its w oldest pending payloads in flight at the w lowest open
-// slots instead of proposing strictly one at a time — the classic
-// multi-Paxos pipeline, which overlaps the consensus latency of
-// consecutive blocks (net/block_replica.h cuts them, this layer ships
-// them).  Safety is untouched: every slot is still an independent Paxos
-// instance and (origin, nonce) dedup already absorbs a payload deciding
-// in two slots.  What w > 1 gives up is the per-origin FIFO guarantee of
-// the committed log (payload i+1 may commit before payload i when slot
-// races go the wrong way) — callers that rely on FIFO, like the
-// replicated token race (write before race step), must keep the default
-// w = 1, which reproduces the old one-in-flight behavior exactly.
+// One payload in flight per node: a node proposes its next payload only
+// after the previous one landed, so each origin's nonces deliver in
+// order.  Two things rest on that per-origin FIFO: callers like the
+// replicated token race (write before race step), and recovery, whose
+// snapshots record the per-origin nonce frontier as an exact summary of
+// what the delivered prefix covers (origin_frontiers()).
 //
 // Catch-up (anti-entropy) is query-driven and self-terminating:
 //   * gap repair    — learning slot s while slot s' < s is unknown sends
@@ -102,14 +96,10 @@ class TotalOrderBcast {
   using Deliver = std::function<void(std::uint64_t slot, ProcessId origin,
                                      std::uint64_t nonce, const Payload&)>;
 
-  /// `window` is the pipelining depth: how many of this node's pending
-  /// payloads are proposed concurrently (at distinct open slots).  1 (the
-  /// default) is strict one-in-flight and preserves per-origin FIFO; see
-  /// the file comment for what larger windows trade away.
   TotalOrderBcast(Net& net, ProcessId self, Deliver deliver,
-                  std::uint64_t retry_delay = 40, std::size_t window = 1)
+                  std::uint64_t retry_delay = 40)
       : net_(net), self_(self), deliver_(std::move(deliver)),
-        window_(window == 0 ? 1 : window), everyone_(net.num_nodes()),
+        everyone_(net.num_nodes()),
         origin_frontier_(net.num_nodes(), 0),
         nonce_floor_(net.num_nodes(), 0) {
     for (ProcessId p = 0; p < everyone_.size(); ++p) everyone_[p] = p;
@@ -156,15 +146,12 @@ class TotalOrderBcast {
 
   // --- recovery interface (DESIGN.md §13) ---
 
-  /// Highest nonce delivered per origin.  Under window == 1 per-origin
-  /// nonces deliver contiguously (an origin proposes nonce i+1 only after
-  /// delivering nonce i), so this vector is an EXACT description of the
+  /// Highest nonce delivered per origin.  Per-origin nonces deliver
+  /// contiguously (an origin proposes nonce i+1 only after nonce i
+  /// landed), so this vector is an EXACT description of the
   /// (origin, nonce) pairs the delivered prefix covers — which is what
   /// lets a snapshot replace the unbounded `seen_` dedup set with n
-  /// integers.  Recovery therefore requires window == 1 (the default;
-  /// the block pipeline's windows ride one nonce per BLOCK and stay
-  /// contiguous too because the block replica keeps window at its
-  /// configured constant from slot 0).
+  /// integers.
   const std::vector<std::uint64_t>& origin_frontiers() const noexcept {
     return origin_frontier_;
   }
@@ -235,33 +222,30 @@ class TotalOrderBcast {
   std::uint64_t pruned_slots() const noexcept { return pruned_slots_; }
 
  private:
-  /// Proposes the `window_` oldest pending payloads at the lowest open
-  /// slots, one payload per slot.  window_ == 1 degenerates to the
-  /// original head-only pump (per-origin FIFO, one in-flight proposal).
-  /// A payload already known decided in some slot is skipped even though
-  /// it is still pending (pending_ empties at DELIVERY, which waits for
-  /// the contiguous prefix): re-proposing it would burn a fresh Paxos
-  /// instance per pump while it parks — gap repair, not re-proposal, is
-  /// what delivers it.  A payload can still land in two slots when a
-  /// lost duel's adoption races our re-proposal, which delivery dedups
-  /// by (origin, nonce); PaxosEngine::propose keeps the first value
-  /// offered for an instance, so a slot that already carries an active
-  /// proposal simply consumes the open-slot cursor.
+  /// Proposes the oldest pending payload not yet known decided at the
+  /// lowest open slot.  A payload already decided in some slot is
+  /// skipped even though it is still pending (pending_ empties at
+  /// DELIVERY, which waits for the contiguous prefix): re-proposing it
+  /// would burn a fresh Paxos instance per pump while it parks — gap
+  /// repair, not re-proposal, is what delivers it.  A payload can still
+  /// land in two slots when a lost duel's adoption races our
+  /// re-proposal, which delivery dedups by (origin, nonce);
+  /// PaxosEngine::propose keeps the first value offered for an instance,
+  /// so a slot that already carries an active proposal simply consumes
+  /// the open-slot cursor.
   void pump() {
+    const auto c = std::find_if(pending_.begin(), pending_.end(),
+                                [this](const Cmd& p) {
+                                  return !landed_.contains(p.nonce);
+                                });
+    if (c == pending_.end()) return;
     std::uint64_t slot = next_deliver_;
-    std::size_t launched = 0;
-    for (Cmd& c : pending_) {
-      if (launched == window_) break;
-      if (landed_.contains(c.nonce)) continue;  // decided, awaiting delivery
-      while (paxos_->has_decided(slot)) ++slot;
-      // Refresh before offering: the proposal an instance FIRST sees is
-      // what it keeps, so the refresh must run before propose(), not
-      // after a lost duel (set_refresh).
-      if (refresh_) refresh_(c.payload);
-      paxos_->propose(slot, c);
-      ++slot;
-      ++launched;
-    }
+    while (paxos_->has_decided(slot)) ++slot;
+    // Refresh before offering: the proposal an instance FIRST sees is
+    // what it keeps, so the refresh must run before propose(), not
+    // after a lost duel (set_refresh).
+    if (refresh_) refresh_(c->payload);
+    paxos_->propose(slot, *c);
   }
 
   void on_decide(std::uint64_t slot, const Cmd& c) {
@@ -317,7 +301,6 @@ class TotalOrderBcast {
   ProcessId self_;
   Deliver deliver_;
   std::function<void(Payload&)> refresh_;  // set_refresh (may be empty)
-  std::size_t window_ = 1;           // pipelining depth (file comment)
   std::vector<ProcessId> everyone_;  // the constant acceptor group
   std::unique_ptr<PaxosEngine<Cmd, Net>> paxos_;
   std::vector<Cmd> pending_;  // our submissions, oldest first
@@ -327,7 +310,7 @@ class TotalOrderBcast {
   /// node retains is the Paxos log from here up (advance_to).
   std::uint64_t log_base_ = 0;
   std::set<std::pair<ProcessId, std::uint64_t>> seen_;
-  /// Highest nonce delivered per origin (exact under window == 1; see
+  /// Highest nonce delivered per origin (exact; see
   /// origin_frontiers()).
   std::vector<std::uint64_t> origin_frontier_;
   /// Snapshot-installed dedup floor: nonces <= floor[origin] are covered

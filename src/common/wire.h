@@ -32,13 +32,14 @@
 // the same account submits at several of them; the hash keeps ids a
 // fixed 8 bytes on the wire regardless of what they name.
 //
-// Traffic classes: relay recovery traffic (announcements, kGetOps
-// round-trips) must not perturb the PRIMARY schedule — committed
-// histories have to stay byte-identical between full and compact relay
-// modes.  Types tagged via is_aux_wire<> draw their delays/drops from a
-// second, independently seeded Rng stream inside SimNet and use a
-// disjoint tie-break sequence, so the primary lanes' event schedule is
-// bit-for-bit the same whether or not relay traffic exists.
+// Traffic classes: relay recovery traffic (the op exchange's pushes
+// and kGet round-trips, net/recover_on_miss.h) must not perturb the
+// PRIMARY schedule — committed histories have to stay byte-identical
+// between full and compact relay modes.  Types tagged via
+// is_aux_wire<> draw their delays/drops from a second, independently
+// seeded Rng stream inside SimNet and use a disjoint tie-break
+// sequence, so the primary lanes' event schedule is bit-for-bit the
+// same whether or not relay traffic exists.
 #pragma once
 
 #include <cstddef>
@@ -93,8 +94,8 @@ std::uint64_t wire_size_of(const T& m) {
   }
 }
 
-/// An operation together with its relay identity — the unit announced,
-/// requested and shipped by the recover-on-miss protocol.
+/// An operation together with its relay identity — the unit pushed,
+/// requested and shipped by the compact relay's payload exchange.
 template <typename B>
 struct TaggedOp {
   OpId id = 0;

@@ -36,17 +36,13 @@
 
 namespace tokensync {
 
-/// Block-formation knobs (plus the broadcast-side pipelining depth the
-/// block replica forwards to TotalOrderBcast).
+/// Block-formation knobs.
 struct BlockConfig {
   /// Size cut: a block never carries more than this many operations.
   std::size_t max_ops = 8;
   /// Deadline cut period, in simulated time units — drivers schedule an
   /// on_deadline() tick this often (the builder itself is tickless).
   std::uint64_t deadline = 25;
-  /// TotalOrderBcast pipelining window: how many cut blocks a replica
-  /// keeps in flight at distinct consensus slots (total_order.h).
-  std::size_t pipeline_window = 1;
 };
 
 /// One consensus payload: a bounded run of pooled operations, in pool
@@ -72,7 +68,7 @@ struct Block {
 };
 
 /// A cut block together with its ops' relay identities (pool intake
-/// order) — what the compact relay announces and proposes as
+/// order) — what the compact relay pushes and proposes as
 /// {block_id, ids} instead of the full payload.
 template <ConcurrentTokenSpec S>
 struct TaggedBlock {

@@ -8,10 +8,11 @@
 //   * next_slot        — the watermark: every slot < B is covered;
 //   * state            — the sequential ledger image after slot B-1;
 //   * origin_frontier  — the total-order broadcast's per-origin
-//                        delivered-nonce frontier (exact under the
-//                        default window = 1, total_order.h), which
-//                        REPLACES the unbounded (origin, nonce) dedup
-//                        set with one integer per replica;
+//                        delivered-nonce frontier (exact, because each
+//                        origin's nonces deliver in order —
+//                        total_order.h), which REPLACES the unbounded
+//                        (origin, nonce) dedup set with one integer per
+//                        replica;
 //   * applied_ids      — the OpIds applied in slots < B (sorted), the
 //                        double-submit dedup set a rejoiner must carry
 //                        forward so a client resubmission of an already

@@ -22,9 +22,9 @@
 //
 // Identity: a sub-block's id is make_op_id(origin, sub_seq) — the same
 // 8-byte hash space the compact relay uses for ops (common/wire.h), so
-// the shared RecoverOnMiss helper (net/recover_on_miss.h) fetches
-// missing sub-blocks with the machinery that already fetches missing
-// ops.  Ids key disjoint maps (sub-block store vs. op store), so an
+// the payload exchange (PayloadExchange, net/recover_on_miss.h) stores
+// and fetches sub-blocks exactly as it stores and fetches relayed ops.
+// Ids key disjoint maps (sub-block store vs. op store), so an
 // accidental hash collision between the spaces is harmless.
 #pragma once
 

@@ -90,7 +90,7 @@ class TxPool {
   }
 
   /// drain(), keeping each op's relay identity — what the compact block
-  /// cut announces and proposes.
+  /// cut pushes and proposes.
   std::vector<Tagged> drain_tagged(std::size_t max_ops = SIZE_MAX) {
     const std::scoped_lock lk(mu_);
     const std::size_t n = std::min(max_ops, ops_.size() - drained_);

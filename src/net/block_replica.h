@@ -23,15 +23,15 @@
 // byte-identical committed histories from the same seed — the block
 // pipeline's acceptance criterion.
 //
-// Relay modes (net/compact_relay.h):
+// Relay modes (net/recover_on_miss.h):
 //   * kFull    — the consensus value carries the whole block payload
 //                (the pre-ISSUE-6 baseline);
-//   * kCompact — the proposer announces the cut block's (id, op) pairs
+//   * kCompact — the proposer pushes the cut block's (id, op) pairs
 //                over the auxiliary relay lane once, and the consensus
 //                value carries only {block_id, proposer, vector<OpId>}.
 //                On commit each replica reconstructs the block from its
 //                TxPool index and relay store; misses trigger the
-//                kGetOps recover-on-miss round-trip.  Committed blocks
+//                exchange's kGet recover-on-miss round-trip.  Committed blocks
 //                apply strictly in slot order — a block whose ops are
 //                still in flight PARKS (and parks every later slot), so
 //                reconstruction can delay the local apply but never
@@ -86,8 +86,8 @@
 #include "exec/replay_engine.h"
 #include "exec/snapshot.h"
 #include "exec/txpool.h"
-#include "net/compact_relay.h"
 #include "net/lane_mux.h"
+#include "net/recover_on_miss.h"
 #include "net/recovery.h"
 #include "net/replica_core.h"
 
@@ -163,7 +163,8 @@ class BlockValue {
 template <ConcurrentTokenSpec S>
 using BlockLaneMsg =
     LaneMsg<PaxosMsg<TobCmd<BlockValue<S>>>,
-            RelayMsg<typename ConcurrentLedger<S>::BatchOp>, RecoveryMsg<S>>;
+            ExchangeMsg<TaggedOp<typename ConcurrentLedger<S>::BatchOp>>,
+            RecoveryMsg<S>>;
 
 /// `BaseNet` is the net the three lanes multiplex onto — a SimNet
 /// carrying BlockLaneMsg<S> by default, or a per-group facade
@@ -176,10 +177,10 @@ class BlockReplicaNode {
   using BatchOp = typename ConcurrentLedger<S>::BatchOp;
   using Value = BlockValue<S>;
   using Mux = BasicLaneMux<BaseNet, PaxosMsg<TobCmd<Value>>,
-                           RelayMsg<BatchOp>, RecoveryMsg<S>>;
+                           ExchangeMsg<TaggedOp<BatchOp>>, RecoveryMsg<S>>;
   using Net = BaseNet;
   using Tob = TotalOrderBcast<Value, typename Mux::NetA>;
-  using Relay = RelayEndpoint<BatchOp, typename Mux::NetB>;
+  using Relay = PayloadExchange<TaggedOp<BatchOp>, typename Mux::NetB>;
   using Recovery = RecoveryEndpoint<S, typename Mux::template LaneT<2>>;
   using Snap = Snapshot<S>;
   using Entry = ReplicaCore::Entry;
@@ -194,9 +195,9 @@ class BlockReplicaNode {
         builder_(pool_, bcfg), mux_(net, self),
         tob_(mux_.lane_a(), self,
              [this](std::uint64_t slot, ProcessId origin, std::uint64_t nonce,
-                    const Value& v) { on_commit(slot, origin, nonce, v); },
-             /*retry_delay=*/40, bcfg.pipeline_window),
-        relay_(mux_.lane_b(), self, [this] { try_apply(); }),
+                    const Value& v) { on_commit(slot, origin, nonce, v); }),
+        relay_(mux_.lane_b(), self,
+               [this](const TaggedOp<BatchOp>&) { try_apply(); }),
         recovery_(mux_.template lane<2>(), self,
                   [this] { return tob_.delivered_count(); },
                   [this](bool has, const std::vector<std::uint8_t>& bytes,
@@ -304,10 +305,10 @@ class BlockReplicaNode {
   /// Consensus-value bytes of the slots committed here (numerator of the
   /// per-slot proposal bytes metric).
   std::uint64_t proposal_bytes() const noexcept { return proposal_bytes_; }
-  /// Test hook: suppress announcements so every peer misses every op and
-  /// reconstruction must go through kGetOps.
-  void set_announce_enabled(bool enabled) {
-    relay_.set_announce_enabled(enabled);
+  /// Test hook: suppress relay pushes so every peer misses every op and
+  /// reconstruction must go through kGet.
+  void set_publish_enabled(bool enabled) {
+    relay_.set_publish_enabled(enabled);
   }
 
   /// Post-apply hook: invoked after each committed block is applied to
@@ -377,7 +378,7 @@ class BlockReplicaNode {
       for (std::size_t i = 0; i < tb.ids.size(); ++i) {
         tagged.push_back(TaggedOp<BatchOp>{tb.ids[i], tb.block.ops[i]});
       }
-      relay_.announce(tagged);
+      relay_.publish(tagged);
     } else {
       body.full = std::move(tb.block);
     }
@@ -564,8 +565,8 @@ class BlockReplicaNode {
     for (OpId id : v.ids) {
       if (std::optional<BatchOp> op = pool_.lookup(id)) {
         blk.ops.push_back(std::move(*op));
-      } else if (const BatchOp* relayed = relay_.find(id)) {
-        blk.ops.push_back(*relayed);
+      } else if (const TaggedOp<BatchOp>* relayed = relay_.find(id)) {
+        blk.ops.push_back(relayed->op);
       } else {
         missing.push_back(id);
       }

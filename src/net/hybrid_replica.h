@@ -43,7 +43,7 @@
 //
 // ISSUE 6 — the bytes levers (DESIGN.md §12):
 //
-//   * ERB BATCHING (HybridConfig::erb_batch / erb_deadline).  The fast
+//   * ERB BATCHING (HybridConfig::erb_batch / kErbDeadline).  The fast
 //     lane broadcasts one FastBatch per size/deadline cut instead of one
 //     message per op — the §10 cut rule transplanted onto the O(n²)
 //     flood.  A batch is one wire message carrying ONE client signature
@@ -54,15 +54,15 @@
 //     epoch, so per-origin FIFO and the origin-major canonical order are
 //     untouched.  The deadline cut is a node-local one-shot callback
 //     (armed when the buffer becomes non-empty), so no op waits more
-//     than erb_deadline for its cut; an empty buffer's tick broadcasts
+//     than kErbDeadline for its cut; an empty buffer's tick broadcasts
 //     nothing.
 //   * COMPACT SLOW LANE (HybridConfig::relay_mode).  Under
 //     RelayMode::kCompact a slow command's consensus value carries only
-//     {frontier, OpId}: the proposer announces the full (signed) payload
-//     once on the auxiliary relay lane (net/compact_relay.h), every
+//     {frontier, OpId}: the proposer pushes the full (signed) payload
+//     once on the auxiliary relay lane (net/recover_on_miss.h), every
 //     phase of every Paxos slot ships the 8-byte reference, and a
 //     replica that committed the slot without the payload recovers it
-//     with the kGetOps round-trip.  Relay traffic is auxiliary-class
+//     with the exchange's kGet round-trip.  Relay traffic is auxiliary-class
 //     (second Rng/tie-break stream), so the primary schedule — ERB and
 //     Paxos alike — is bit-identical across relay modes; recovery can
 //     only delay a barrier's local APPLY (the barrier queue parks),
@@ -121,6 +121,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -136,8 +137,8 @@
 #include "exec/exec_specs.h"
 #include "exec/replay_engine.h"
 #include "exec/snapshot.h"
-#include "net/compact_relay.h"
 #include "net/lane_mux.h"
+#include "net/recover_on_miss.h"
 #include "net/replica_core.h"
 #include "net/simnet.h"
 #include "objects/sync_class.h"
@@ -159,9 +160,6 @@ struct HybridConfig {
   /// Fast-lane size cut: own fast ops per ERB broadcast.  1 = the
   /// op-per-message baseline (no deadline callback is ever armed).
   std::size_t erb_batch = 1;
-  /// Fast-lane deadline cut period (simulated time): a partial batch
-  /// never waits longer than this for its broadcast.
-  std::uint64_t erb_deadline = 25;
   /// Route EVERY operation through the consensus lane (SyncTraits
   /// ignored) — the all-Paxos baseline the benchmarks compare the lane
   /// split against (same script, same network, zero fast commits).
@@ -225,19 +223,24 @@ class HybridReplicaNode {
   /// Lanes 0-2 are the ISSUE 5/6 stack; lane 3 is the Bracha fast lane
   /// (active instead of lane 0 under FastLane::kBracha) and lane 4 the
   /// aux-class conflict-proof relay — all five over ONE SimNet.
-  using Mux = LaneMux<FastMsg, SlowMsg, RelayMsg<BatchOp>,
+  using Mux = LaneMux<FastMsg, SlowMsg, ExchangeMsg<TaggedOp<BatchOp>>,
                       BrachaMsg<FastBatch>, ErbMsg<Proof>>;
   using Net = typename Mux::Net;
   using Erb = ErbNode<FastBatch, typename Mux::template LaneT<0>>;
   using Tob = TotalOrderBcast<SlowCmd, typename Mux::template LaneT<1>>;
-  using Relay = RelayEndpoint<BatchOp, typename Mux::template LaneT<2>>;
+  using Relay =
+      PayloadExchange<TaggedOp<BatchOp>, typename Mux::template LaneT<2>>;
   using Bracha = BrachaNode<FastBatch, typename Mux::template LaneT<3>>;
   using ProofRelay = ErbNode<Proof, typename Mux::template LaneT<4>>;
   using Entry = ReplicaCore::Entry;
 
+  /// Fast-lane deadline cut period (simulated time): a partial batch
+  /// never waits longer than this for its broadcast.
+  static constexpr std::uint64_t kErbDeadline = 25;
+
   HybridReplicaNode(Net& net, ProcessId self,
                     const typename S::SeqState& initial, ExecOptions eopts,
-                    HybridConfig hcfg = {}, std::uint64_t retry_delay = 40)
+                    HybridConfig hcfg = {})
       : net_(net), self_(self), cfg_(hcfg), mux_(net, self),
         engine_(std::make_unique<ReplayEngine<S>>(initial, eopts)),
         delivered_(net.num_nodes(), 0), applied_(net.num_nodes(), 0),
@@ -250,9 +253,9 @@ class HybridReplicaNode {
              [this](std::uint64_t slot, ProcessId origin,
                     std::uint64_t nonce, const SlowCmd& c) {
                on_slow_commit(slot, origin, nonce, c);
-             },
-             retry_delay),
-        relay_(mux_.template lane<2>(), self, [this] { try_apply(); }),
+             }),
+        relay_(mux_.template lane<2>(), self,
+               [this](const TaggedOp<BatchOp>&) { try_apply(); }),
         bracha_(mux_.template lane<3>(), self,
                 /*f=*/(net.num_nodes() - 1) / 3,
                 [this](ProcessId origin, std::uint64_t seq,
@@ -292,7 +295,7 @@ class HybridReplicaNode {
         // non-empty.  A size cut may empty the buffer first — then the
         // tick finds nothing and broadcasts nothing.
         fast_timer_armed_ = true;
-        net_.call_at(self_, cfg_.erb_deadline, [this] {
+        net_.call_at(self_, kErbDeadline, [this] {
           fast_timer_armed_ = false;
           if (!fast_buf_.empty()) flush_fast();
         });
@@ -304,7 +307,8 @@ class HybridReplicaNode {
       if (cfg_.relay_mode == RelayMode::kCompact) {
         c.compact = true;
         c.id = make_op_id(self_, slow_proposed_++);
-        relay_.announce({TaggedOp<BatchOp>{c.id, BatchOp{caller, op}}});
+        const TaggedOp<BatchOp> t{c.id, BatchOp{caller, op}};
+        relay_.publish(std::span(&t, 1));
       } else {
         c.op = std::move(op);
       }
@@ -425,10 +429,10 @@ class HybridReplicaNode {
     snap.origin_frontier = applied_;
     return snap;
   }
-  /// Test hook: suppress relay announcements so every peer's barrier
-  /// must recover its payload through kGetOps.
-  void set_announce_enabled(bool enabled) {
-    relay_.set_announce_enabled(enabled);
+  /// Test hook: suppress relay pushes so every peer's barrier must
+  /// recover its payload through kGet.
+  void set_publish_enabled(bool enabled) {
+    relay_.set_publish_enabled(enabled);
   }
 
  private:
@@ -514,7 +518,7 @@ class HybridReplicaNode {
       for (ProcessId o = 0; o < delivered_.size(); ++o) {
         if (delivered_[o] < head.cmd.frontier[o]) return;  // park: frontier
       }
-      const BatchOp* slow_op = nullptr;
+      const TaggedOp<BatchOp>* slow_op = nullptr;
       if (head.cmd.compact) {
         slow_op = relay_.find(head.cmd.id);
         if (!slow_op) {  // park: payload in flight (recover-on-miss)
@@ -526,7 +530,7 @@ class HybridReplicaNode {
       Blk blk = cut_epoch(head.cmd.frontier);
       fast_lane_ops_ += blk.size();
       blk.ops.push_back(head.cmd.compact
-                            ? *slow_op
+                            ? slow_op->op
                             : BatchOp{head.cmd.caller, head.cmd.op});
       if (head.cmd.compact) relay_.cancel(head.cmd.id);
       proposal_bytes_ += wire_size_of(head.cmd);

@@ -4,11 +4,11 @@
 // The synchronization-tiered replica (net/hybrid_replica.h) runs the
 // eager reliable broadcast (bcast/erb.h, the CN = 1 fast lane), the
 // Paxos-backed total-order broadcast (atbcast/total_order.h, the CN > 1
-// consensus lane) and — under compact relay (net/compact_relay.h) — the
-// op recovery lane side by side on the same cluster.  SimNet carries ONE
-// wire-message type and ONE handler/timer-handler per node, so the
-// protocol engines cannot all register directly.  This header supplies
-// the multiplexer:
+// consensus lane) and — under compact relay (net/recover_on_miss.h) —
+// the op recovery lane side by side on the same cluster.  SimNet
+// carries ONE wire-message type and ONE handler/timer-handler per node,
+// so the protocol engines cannot all register directly.  This header
+// supplies the multiplexer:
 //
 //   * LaneMsg<Ls...> — the variant wire type: every message on the
 //     shared network is exactly one lane's message;

@@ -43,14 +43,14 @@
 // §10 double-submit guard at sub-block granularity — an op pooled and
 // cut at two origins still applies exactly once).
 //
-// Recover-on-miss: a committed reference whose sub-block has not
-// arrived (lost publish, partition) parks the slot — strictly
-// head-of-line, like §12 — and fetches it with the shared RecoverOnMiss
-// loop (net/recover_on_miss.h): value's proposer first, rotation,
-// short fallback to the full reference list.  Publishes are also
-// re-sent by their origin on deadline ticks while unreferenced
-// (partition healing), so every published sub-block is eventually
-// either referenced or recoverable.
+// Recover-on-miss: sub-blocks travel on the payload exchange the
+// compact relay uses too (PayloadExchange, net/recover_on_miss.h).  A
+// committed reference whose sub-block has not arrived (lost publish,
+// partition) parks the slot — strictly head-of-line, like §12 — and
+// fetches it: value's proposer first, rotation, short fallback to the
+// full reference list.  Publishes are also re-sent by their origin on
+// deadline ticks while unreferenced (partition healing), so every
+// published sub-block is eventually either referenced or recoverable.
 //
 // The sub-block lane is PRIMARY-class (not auxiliary): it is
 // load-bearing — which references a proposal carries legitimately
@@ -63,10 +63,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
-#include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -99,140 +98,6 @@ struct MpValue {
   friend bool operator==(const MpValue&, const MpValue&) = default;
 };
 
-/// Sub-block lane wire message; `B` is the ledger BatchOp carried.
-/// PRIMARY-class (no is_aux_wire specialization) — see the file
-/// comment.
-template <typename B>
-struct SubBlockMsg {
-  enum class Type : std::uint8_t {
-    kPublish,  ///< origin -> peers: a freshly cut sub-block, eagerly
-    kGetSubs,  ///< replica -> peer: sub-block ids I am missing
-    kSubs,     ///< peer -> replica: the requested sub-blocks it has
-  };
-
-  Type type = Type::kPublish;
-  std::uint64_t key = 0;          ///< kGetSubs/kSubs fetch correlation
-  std::vector<OpId> ids;          ///< kGetSubs: requested sub-block ids
-  std::vector<SubBlock<B>> subs;  ///< kPublish/kSubs payloads
-
-  std::uint64_t wire_size() const {
-    std::uint64_t bytes = kWireHeaderBytes + 8 + 8 * ids.size();
-    for (const SubBlock<B>& s : subs) bytes += s.wire_size();
-    return bytes;
-  }
-};
-
-/// One replica's sub-block exchange: the id-keyed store fed by local
-/// cuts and publishes, the kPublish/kGetSubs/kSubs protocol, and the
-/// shared recover-on-miss fetch loop.  `NetT` is the sub-block lane's
-/// facade (LaneNet over the shared SimNet).
-template <typename B, typename NetT>
-class SubBlockExchange {
- public:
-  using Msg = SubBlockMsg<B>;
-  using Sub = SubBlock<B>;
-  /// Invoked once per sub-block that arrives from the NETWORK (publish
-  /// or kSubs reply) and is new to the store — the node registers its
-  /// reference and retries parked applies.
-  using OnStore = std::function<void(const Sub&)>;
-
-  SubBlockExchange(NetT& net, ProcessId self, OnStore on_store,
-                   std::uint64_t retry_delay = 40, int fallback_after = 3)
-      : net_(net), self_(self), on_store_(std::move(on_store)),
-        recover_(net, self,
-                 /*have=*/[this](OpId id) { return store_.contains(id); },
-                 /*send=*/
-                 [this](ProcessId target, std::uint64_t key,
-                        const std::vector<OpId>& ids) {
-                   Msg m;
-                   m.type = Msg::Type::kGetSubs;
-                   m.key = key;
-                   m.ids = ids;
-                   net_.send(self_, target, m);
-                 },
-                 retry_delay, fallback_after) {
-    net_.set_handler(self_, [this](ProcessId from, const Msg& m) {
-      on_message(from, m);
-    });
-    net_.set_timer_handler(self_,
-                           [this](std::uint64_t) { recover_.on_timer(); });
-  }
-
-  /// Origin intake: remember an own cut (serves kGetSubs and our own
-  /// commits).  Publishing is a separate step so the forced-miss test
-  /// hook can suppress it without losing the local copy.
-  void add_local(const Sub& s) { store_.try_emplace(s.id(), s); }
-
-  /// Eager dissemination (and deadline-tick re-publish) of an own
-  /// sub-block to every peer.
-  void publish(const Sub& s) {
-    if (!publish_enabled_) return;  // test hook: force universal misses
-    Msg m;
-    m.type = Msg::Type::kPublish;
-    m.subs.push_back(s);
-    for (ProcessId p = 0; p < net_.num_nodes(); ++p) {
-      if (p != self_) net_.send(self_, p, m);
-    }
-  }
-
-  /// O(1) store lookup; nullptr when this replica has never seen `id`.
-  /// Valid until the store next grows.
-  const Sub* find(OpId id) const { return store_.find(id); }
-
-  /// Recover-on-miss entry points (net/recover_on_miss.h); `key` is the
-  /// parked consensus slot.
-  void fetch(std::uint64_t key, ProcessId proposer,
-             std::vector<OpId> missing, std::vector<OpId> all) {
-    recover_.fetch(key, proposer, std::move(missing), std::move(all));
-  }
-  void cancel(std::uint64_t key) { recover_.cancel(key); }
-  bool idle() const noexcept { return recover_.idle(); }
-
-  std::uint64_t miss_recoveries() const noexcept {
-    return recover_.miss_recoveries();
-  }
-  std::uint64_t get_subs_sent() const noexcept {
-    return recover_.requests_sent();
-  }
-  std::uint64_t fallbacks() const noexcept { return recover_.fallbacks(); }
-
-  /// Test hook: with publishing off, every peer misses every sub-block
-  /// and ALL reconstruction goes through the kGetSubs round-trip.
-  void set_publish_enabled(bool enabled) { publish_enabled_ = enabled; }
-  bool publish_enabled() const noexcept { return publish_enabled_; }
-
- private:
-  void on_message(ProcessId from, const Msg& m) {
-    switch (m.type) {
-      case Msg::Type::kPublish:
-      case Msg::Type::kSubs:
-        for (const Sub& s : m.subs) {
-          if (store_.try_emplace(s.id(), s) && on_store_) on_store_(s);
-        }
-        return;
-      case Msg::Type::kGetSubs: {
-        Msg reply;
-        reply.type = Msg::Type::kSubs;
-        reply.key = m.key;
-        for (OpId id : m.ids) {
-          if (const Sub* s = store_.find(id)) reply.subs.push_back(*s);
-        }
-        // A partial reply still makes progress; an empty one would only
-        // add chatter — the requester's rotation finds a better peer.
-        if (!reply.subs.empty()) net_.send(self_, from, reply);
-        return;
-      }
-    }
-  }
-
-  NetT& net_;
-  ProcessId self_;
-  OnStore on_store_;
-  bool publish_enabled_ = true;
-  OpIdMap<Sub> store_;
-  RecoverOnMiss<NetT> recover_;  // after store_: its Have reads store_
-};
-
 /// Multi-proposer pipeline knobs.
 struct MultiProposerConfig {
   /// Replicas 0..num_proposers-1 propose reference cuts (clamped to
@@ -243,43 +108,19 @@ struct MultiProposerConfig {
   /// Deadline-cut tick period — drivers schedule on_deadline() this
   /// often (flushes partial fills, re-publishes unreferenced cuts).
   std::uint64_t deadline = 25;
-  /// Proposal pacing: the rotating primary fires base after waking,
-  /// rank-r backups after base + r*stagger — a short rank spacing, so
-  /// once takeover is warranted the next backup steps in fast.
+  /// Proposal pacing: the rotating primary fires this many ticks after
+  /// waking, rank-r backups kProposeStagger later per rank.
   std::uint64_t propose_base = 4;
-  std::uint64_t propose_stagger = 15;
-  /// Backup deferral window: a non-primary holds its proposal while a
-  /// commit landed within the last this-many ticks (consensus is live
-  /// under some proposer — dueling it only adds duplicate slots).  ≈
-  /// one decide cycle, so takeover begins exactly when the primary's
-  /// in-flight proposal is overdue.  Decoupled from propose_stagger:
-  /// the WINDOW must cover a whole decide, the rank SPACING must not —
-  /// coupling them either serializes takeover (long stagger: the tail
-  /// op waits out rank·stagger) or invites contention chaos (short
-  /// window: backups duel every in-flight decide under loss).
-  std::uint64_t propose_backup_after = 45;
-  /// Re-publish an own sub-block while unreferenced, at most once per
-  /// this many ticks (heals lost publishes and partitions; ≈ two
-  /// consensus round-trips so the fault-free path never re-sends).
-  std::uint64_t republish_after = 80;
-  /// TotalOrderBcast re-propose backoff for this runtime's proposals.
-  /// Deliberately ABOVE propose_backup_after: when a proposal stalls
-  /// (lost round under loss), re-covering its references through the
-  /// rotation takeover is cheaper and faster than the origin hammering
-  /// its own retry — so the origin retries lazily and the backup path
-  /// is the effective recovery.  P = 1 has no backups and pays the full
-  /// backoff on every stall; that asymmetry is the leaderless tail win
-  /// the E27 bench measures.
-  std::uint64_t retry_delay = 60;
 };
 
 /// The multi-proposer pipeline's multiplexed wire type: lane 0 the
 /// consensus (Paxos) traffic over reference values, lane 1 the
-/// sub-block dissemination + recovery lane.
+/// sub-block dissemination + recovery lane (primary-class: the file
+/// comment).
 template <ConcurrentTokenSpec S>
 using MpLaneMsg =
     LaneMsg<PaxosMsg<TobCmd<MpValue>>,
-            SubBlockMsg<typename ConcurrentLedger<S>::BatchOp>>;
+            ExchangeMsg<SubBlock<typename ConcurrentLedger<S>::BatchOp>>>;
 
 template <ConcurrentTokenSpec S, typename BaseNet = SimNet<MpLaneMsg<S>>>
 class MultiProposerNode {
@@ -287,13 +128,39 @@ class MultiProposerNode {
   using Op = typename S::Op;
   using BatchOp = typename ConcurrentLedger<S>::BatchOp;
   using Value = MpValue;
-  using Mux = BasicLaneMux<BaseNet, PaxosMsg<TobCmd<Value>>,
-                           SubBlockMsg<BatchOp>>;
+  using Sub = SubBlock<BatchOp>;
+  using Mux = BasicLaneMux<BaseNet, PaxosMsg<TobCmd<Value>>, ExchangeMsg<Sub>>;
   using Net = BaseNet;
   using Tob = TotalOrderBcast<Value, typename Mux::NetA>;
-  using Exchange = SubBlockExchange<BatchOp, typename Mux::NetB>;
-  using Sub = SubBlock<BatchOp>;
+  using Exchange = PayloadExchange<Sub, typename Mux::NetB>;
   using Entry = ReplicaCore::Entry;
+
+  /// Rank spacing of the pacing timers: short, so once takeover is
+  /// warranted the next backup steps in fast.
+  static constexpr std::uint64_t kProposeStagger = 15;
+  /// Backup deferral window: a non-primary holds its proposal while a
+  /// commit landed within the last this-many ticks (consensus is live
+  /// under some proposer — dueling it only adds duplicate slots).  ≈
+  /// one decide cycle, so takeover begins exactly when the primary's
+  /// in-flight proposal is overdue.  Decoupled from kProposeStagger:
+  /// the WINDOW must cover a whole decide, the rank SPACING must not —
+  /// coupling them either serializes takeover (long stagger: the tail
+  /// op waits out rank·stagger) or invites contention chaos (short
+  /// window: backups duel every in-flight decide under loss).
+  static constexpr std::uint64_t kProposeBackupAfter = 45;
+  /// Re-publish an own sub-block while unreferenced, at most once per
+  /// this many ticks (heals lost publishes and partitions; ≈ two
+  /// consensus round-trips so the fault-free path never re-sends).
+  static constexpr std::uint64_t kRepublishAfter = 80;
+  /// TotalOrderBcast re-propose backoff for this runtime's proposals.
+  /// Deliberately ABOVE kProposeBackupAfter: when a proposal stalls
+  /// (lost round under loss), re-covering its references through the
+  /// rotation takeover is cheaper and faster than the origin hammering
+  /// its own retry — so the origin retries lazily and the backup path
+  /// is the effective recovery.  P = 1 has no backups and pays the full
+  /// backoff on every stall; that asymmetry is the leaderless tail win
+  /// the E27 bench measures.
+  static constexpr std::uint64_t kRetryDelay = 60;
 
   MultiProposerNode(Net& net, ProcessId self,
                     const typename S::SeqState& initial,
@@ -306,7 +173,7 @@ class MultiProposerNode {
         tob_(mux_.lane_a(), self,
              [this](std::uint64_t slot, ProcessId origin, std::uint64_t nonce,
                     const Value& v) { on_commit(slot, origin, nonce, v); },
-             cfg.retry_delay),
+             kRetryDelay),
         exchange_(mux_.lane_b(), self, [this](const Sub& s) {
           on_subblock(s);
         }) {
@@ -332,7 +199,7 @@ class MultiProposerNode {
 
   /// Deadline tick (drivers schedule this every cfg.deadline): flushes
   /// a partial fill, re-publishes own sub-blocks still unreferenced
-  /// (bounded by republish_after), and re-checks the proposal pacing.
+  /// (bounded by kRepublishAfter), and re-checks the proposal pacing.
   void on_deadline() {
     if (auto s = builder_.cut()) adopt_own(std::move(*s));
     republish_pending();
@@ -420,7 +287,7 @@ class MultiProposerNode {
     return exchange_.miss_recoveries();
   }
   /// Test hook: suppress publishing so every peer misses every
-  /// sub-block and reconstruction must go through kGetSubs.
+  /// sub-block and reconstruction must go through kGet.
   void set_publish_enabled(bool enabled) {
     exchange_.set_publish_enabled(enabled);
   }
@@ -431,13 +298,12 @@ class MultiProposerNode {
   void set_refresh_enabled(bool enabled) { refresh_enabled_ = enabled; }
 
  private:
-  /// A freshly cut own sub-block: store, register its reference, track
-  /// it until committed, publish eagerly, wake the pacing.
+  /// A freshly cut own sub-block: register its reference, track it until
+  /// committed, store and publish it eagerly, wake the pacing.
   void adopt_own(Sub s) {
-    exchange_.add_local(s);
     note_uncovered(s.ref());
-    own_pending_.emplace(s.id(), net_.now() + cfg_.republish_after);
-    exchange_.publish(s);
+    own_pending_.emplace(s.id(), net_.now() + kRepublishAfter);
+    exchange_.publish(std::span(&s, 1));
     maybe_arm_propose();
   }
 
@@ -469,13 +335,15 @@ class MultiProposerNode {
   bool has_uncovered() const { return !uncovered_.empty(); }
 
   /// Re-publishes own sub-blocks still unreferenced by any delivered
-  /// slot, at most once per republish_after ticks each (heals lost
-  /// publishes and partitions; see MultiProposerConfig).
+  /// slot, at most once per kRepublishAfter ticks each (heals lost
+  /// publishes and partitions).
   void republish_pending() {
     for (auto& [id, next_at] : own_pending_) {
       if (known_committed_.contains(id) || net_.now() < next_at) continue;
-      next_at = net_.now() + cfg_.republish_after;
-      if (const Sub* s = exchange_.find(id)) exchange_.publish(*s);
+      next_at = net_.now() + kRepublishAfter;
+      if (const Sub* s = exchange_.find(id)) {
+        exchange_.publish(std::span(s, 1));
+      }
     }
   }
 
@@ -485,7 +353,7 @@ class MultiProposerNode {
     const std::size_t p = num_proposers_;
     const std::size_t primary = tob_.delivered_count() % p;
     const std::size_t rank = (self_ + p - primary) % p;
-    return cfg_.propose_base + rank * cfg_.propose_stagger;
+    return cfg_.propose_base + rank * kProposeStagger;
   }
 
   bool is_current_primary() const {
@@ -523,7 +391,7 @@ class MultiProposerNode {
     // the primary itself always proposes (it IS the live stream), and
     // once commits stop flowing for a window, anyone covers.
     if (!is_current_primary() &&
-        net_.now() < last_decided_at_ + cfg_.propose_backup_after) {
+        net_.now() < last_decided_at_ + kProposeBackupAfter) {
       maybe_arm_propose();
       return;
     }

@@ -22,9 +22,9 @@
 // snapshot at a higher boundary instead of stalling (the
 // prune-then-query edge case the recovery tests pin).
 //
-// Request rotation mirrors the compact relay: one peer per attempt,
-// starting at self + 1, skipping self and crashed nodes, re-armed by an
-// auxiliary retry timer until the node reports itself caught up.  All
+// Request rotation: one peer per attempt, starting at self + 1,
+// skipping self and crashed nodes, re-armed by an auxiliary retry timer
+// until the node reports itself caught up.  All
 // traffic and timers are auxiliary-class (is_aux_wire), so in a run
 // where nobody rejoins, snapshotting + pruning leave the primary event
 // schedule — and therefore the committed history — bit-for-bit
@@ -147,11 +147,13 @@ class RecoveryEndpoint {
                                      const std::vector<std::uint8_t>& bytes,
                                      std::uint64_t frontier)>;
 
+  /// Retry tick of the snapshot fetch.
+  static constexpr std::uint64_t kRetryDelay = 40;
+
   RecoveryEndpoint(NetT& net, ProcessId self, FrontierFn frontier,
-                   OnReply on_reply, std::uint64_t retry_delay = 40)
+                   OnReply on_reply)
       : net_(net), self_(self), frontier_(std::move(frontier)),
-        on_reply_(std::move(on_reply)), retry_delay_(retry_delay),
-        marks_(net.num_nodes(), 0) {
+        on_reply_(std::move(on_reply)), marks_(net.num_nodes(), 0) {
     net_.set_handler(self_, [this](ProcessId from, const Msg& m) {
       on_message(from, m);
     });
@@ -264,7 +266,7 @@ class RecoveryEndpoint {
   void arm_timer() {
     if (timer_armed_) return;
     timer_armed_ = true;
-    net_.set_timer(self_, retry_delay_, 0);
+    net_.set_timer(self_, kRetryDelay, 0);
   }
 
   void on_timer() {
@@ -278,7 +280,6 @@ class RecoveryEndpoint {
   ProcessId self_;
   FrontierFn frontier_;
   OnReply on_reply_;
-  std::uint64_t retry_delay_;
   SnapshotStore<S> store_;
   std::vector<std::uint64_t> marks_;  ///< newest known mark per replica
   bool fetching_ = false;

@@ -92,18 +92,13 @@ class ReplicaNode {
   using Net = typename Tob::Net;
   using Entry = ReplicaCore::Entry;
 
-  /// `tob_window` is TotalOrderBcast's pipelining depth — 1 (default)
-  /// preserves per-origin FIFO commits; block replicas may raise it to
-  /// overlap consecutive blocks' consensus latency (total_order.h).
-  ReplicaNode(Net& net, ProcessId self, SM sm,
-              std::uint64_t retry_delay = 40, std::size_t tob_window = 1)
+  ReplicaNode(Net& net, ProcessId self, SM sm)
       : net_(net), self_(self), sm_(std::move(sm)),
         tob_(net, self,
              [this](std::uint64_t slot, ProcessId origin,
                     std::uint64_t nonce, const Cmd& c) {
                on_commit(slot, origin, nonce, c);
-             },
-             retry_delay, tob_window) {}
+             }) {}
 
   /// Submits a command on this replica's behalf; it commits (here and
   /// everywhere) once the broadcast sequences it.

@@ -211,8 +211,7 @@ ExecOptions exec_options(const ScenarioConfig& cfg) {
 
 BlockConfig block_config(const ScenarioConfig& cfg) {
   return BlockConfig{.max_ops = cfg.block_max_ops,
-                     .deadline = cfg.block_deadline,
-                     .pipeline_window = cfg.block_window};
+                     .deadline = cfg.block_deadline};
 }
 
 RecoveryConfig recovery_config(const ScenarioConfig& cfg) {

@@ -41,7 +41,7 @@
 
 #include "common/error.h"
 #include "common/ids.h"
-#include "net/compact_relay.h"
+#include "net/recover_on_miss.h"
 #include "net/replica.h"
 #include "net/simnet.h"
 #include "objects/sync_class.h"
@@ -180,7 +180,6 @@ struct ScenarioConfig {
   std::size_t replay_threads = 1;      ///< ReplayEngine workers per replica
   std::size_t block_max_ops = 8;       ///< size cut (ops per block)
   std::uint64_t block_deadline = 25;   ///< deadline-cut tick period
-  std::size_t block_window = 1;        ///< TOB pipelining depth per replica
 
   /// Hybrid workloads only: route EVERY operation through the consensus
   /// lane (SyncTraits ignored) — the all-Paxos baseline the hybrid
@@ -189,7 +188,7 @@ struct ScenarioConfig {
 
   /// Block-pipeline and hybrid workloads: how consensus values travel —
   /// full payloads (the baseline) or op-ID references with
-  /// recover-on-miss (net/compact_relay.h).  The committed history is
+  /// recover-on-miss (net/recover_on_miss.h).  The committed history is
   /// INVARIANT to this knob (the ISSUE 6 acceptance criterion); only the
   /// bytes on the wire change.
   RelayMode relay_mode = RelayMode::kFull;
@@ -294,9 +293,9 @@ struct ScenarioReport {
   /// and the history stay fixed — the per-slot proposal-bytes drop E18
   /// measures.
   std::uint64_t proposal_bytes = 0;
-  /// Committed references that had to fetch their payload (the kGetOps /
-  /// kGetSubs recover-on-miss round-trip), summed over correct replicas
-  /// (and, sharded, over their groups).
+  /// Committed references that had to fetch their payload (the payload
+  /// exchange's kGet round-trip), summed over correct replicas (and,
+  /// sharded, over their groups).
   std::uint64_t miss_recoveries = 0;
 
   // Recovery counters (snapshotting / crash_rejoin runs; 0 elsewhere).

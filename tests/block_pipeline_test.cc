@@ -430,19 +430,6 @@ TEST(BlockScenario, BlocksActuallyBatch) {
   EXPECT_LT(rep.slots, rep.committed);
 }
 
-TEST(BlockScenario, PipelineWindowTwoStaysCorrect) {
-  // TOB pipelining (window = 2): blocks from one replica may commit out
-  // of cut order, but every audit still holds and the run is still a
-  // pure function of the seed.
-  auto c = block_cfg(Workload::kErc20BlockStorm, FaultProfile::kLossyLinks);
-  c.block_window = 2;
-  const auto a = run_scenario(c);
-  const auto b = run_scenario(c);
-  expect_ok(a);
-  EXPECT_EQ(a.history, b.history);
-  EXPECT_EQ(a.net.sent, b.net.sent);
-}
-
 TEST(BlockDeterminism, SameSeedSameBytes) {
   for (Workload w :
        {Workload::kErc20BlockStorm, Workload::kMixedBlockEscalate}) {

@@ -4,11 +4,12 @@
 //     committed histories across the whole fault × replay-thread matrix
 //     (the acceptance criterion: compact relay changes BYTES, never
 //     content);
-//   * recover-on-miss — under lossy/partitioned links, and with
-//     announcements force-disabled so EVERY reconstruction must take the
-//     kGetOps round-trip, compact clusters still converge to the
-//     full-mode history; the short-block fallback fires after the retry
-//     bound;
+//   * recover-on-miss — under lossy/partitioned links, and with relay
+//     pushes force-disabled so EVERY reconstruction must take the kGet
+//     round-trip, compact clusters still converge to the full-mode
+//     history; for both items the payload exchange carries (relay ops
+//     and sub-blocks), the short fallback fires after the retry bound
+//     and a crashed proposer is skipped;
 //   * ERB batch cuts — single-op deadline flushes, deadline ticks over
 //     an empty buffer, per-origin FIFO across batch boundaries, and the
 //     fastlane-storm history's invariance to the batch size;
@@ -28,9 +29,10 @@
 
 #include "common/wire.h"
 #include "exec/exec_specs.h"
+#include "exec/subblock.h"
 #include "net/block_replica.h"
-#include "net/compact_relay.h"
 #include "net/hybrid_replica.h"
+#include "net/recover_on_miss.h"
 #include "sched/scenario.h"
 
 namespace tokensync {
@@ -106,8 +108,8 @@ TEST(CompactRelayModes, FullModeNeverEntersRecovery) {
 }
 
 // ---------------------------------------------------------------------------
-// Recover-on-miss under real loss: lossy_dup drops announcements too, so
-// compact clusters must heal through kGetOps — and still match the
+// Recover-on-miss under real loss: lossy_dup drops relay pushes too, so
+// compact clusters must heal through kGet — and still match the
 // full-mode history byte for byte.
 // ---------------------------------------------------------------------------
 
@@ -125,10 +127,10 @@ TEST(CompactRelayRecovery, HealsUnderLossyDupAndPartition) {
   }
 }
 
-// Forced universal miss: with announcements disabled on every replica,
+// Forced universal miss: with relay pushes disabled on every replica,
 // no peer ever holds a foreign op when its block commits — EVERY remote
-// block goes through the kGetOps round-trip — and the history must
-// still match a full-mode run of the identical script.
+// block goes through the kGet round-trip — and the history must still
+// match a full-mode run of the identical script.
 TEST(CompactRelayRecovery, ForcedMissRecoversEveryBlock) {
   using Node = BlockReplicaNode<Erc20LedgerSpec>;
   constexpr std::size_t kAccts = 8;
@@ -136,7 +138,7 @@ TEST(CompactRelayRecovery, ForcedMissRecoversEveryBlock) {
                            std::vector<std::vector<Amount>>(
                                kAccts, std::vector<Amount>(kAccts, 2)));
 
-  const auto run = [&](RelayMode mode, bool announce) {
+  const auto run = [&](RelayMode mode, bool publish) {
     typename Node::Net net(4, make_net_config(FaultProfile::kNone, 11));
     BlockConfig bcfg;
     bcfg.max_ops = 4;
@@ -144,7 +146,7 @@ TEST(CompactRelayRecovery, ForcedMissRecoversEveryBlock) {
     for (ProcessId p = 0; p < 4; ++p) {
       nodes.push_back(std::make_unique<Node>(net, p, initial, bcfg,
                                              ExecOptions{.threads = 1}, mode));
-      nodes.back()->set_announce_enabled(announce);
+      nodes.back()->set_publish_enabled(publish);
     }
     for (ProcessId p = 0; p < 4; ++p) {
       Node* node = nodes[p].get();
@@ -173,7 +175,7 @@ TEST(CompactRelayRecovery, ForcedMissRecoversEveryBlock) {
     ASSERT_TRUE(forced[p]->all_settled()) << "replica " << p;
     EXPECT_EQ(full[p]->history(), forced[p]->history()) << "replica " << p;
     recoveries += forced[p]->relay().miss_recoveries();
-    requests += forced[p]->relay().get_ops_sent();
+    requests += forced[p]->relay().requests_sent();
   }
   EXPECT_FALSE(full[0]->history().empty());
   // Every replica missed every one of its peers' blocks.
@@ -181,37 +183,136 @@ TEST(CompactRelayRecovery, ForcedMissRecoversEveryBlock) {
   EXPECT_GE(requests, recoveries);
 }
 
-// The short-block fallback: a fetch whose first `fallback_after`
-// requests go unanswered escalates to requesting the block's FULL id
-// list, and recovery still terminates once the link comes back.
-TEST(CompactRelayRecovery, ShortBlockFallbackAfterRetryBound) {
-  using BOp = Erc20Ledger::BatchOp;
-  using Net = SimNet<RelayMsg<BOp>>;
-  Net net(2, NetConfig{.seed = 3, .min_delay = 1, .max_delay = 2});
+// ---------------------------------------------------------------------------
+// The payload exchange's fetch loop, for both items it carries: relay
+// ops (block and hybrid runtimes) and sub-blocks (multi-proposer).
+// ---------------------------------------------------------------------------
 
-  bool resolved = false;
-  RelayEndpoint<BOp, Net> requester(
-      net, 0, [&resolved] { resolved = true; });
-  RelayEndpoint<BOp, Net> provider(net, 1, [] {});
+using BOp = Erc20Ledger::BatchOp;
 
-  const OpId id = make_op_id(1, 0);
-  provider.set_announce_enabled(false);  // store locally, tell nobody
-  provider.announce({TaggedOp<BOp>{id, BOp{2, Erc20Op::transfer(3, 1)}}});
+static_assert(is_aux_wire_v<ExchangeMsg<TaggedOp<BOp>>>,
+              "the op relay must not perturb the primary schedule");
+static_assert(!is_aux_wire_v<ExchangeMsg<SubBlock<BOp>>>,
+              "the sub-block lane is load-bearing, so primary-class");
 
-  // Black out the link until well past fallback_after (3) retries at
-  // retry_delay 40: attempts at ~t=0, 40, 80, 120 all vanish.
-  net.set_link_filter([](ProcessId, ProcessId, std::uint64_t now) {
-    return now >= 250;
-  });
-  requester.fetch(/*block_id=*/77, /*proposer=*/1, {id}, {id});
-  net.run();
+// Two distinct items of each type (k = 0, 1).
+template <typename Item>
+Item held_item(std::uint32_t k);
+template <>
+TaggedOp<BOp> held_item(std::uint32_t k) {
+  return {make_op_id(1, k), BOp{2, Erc20Op::transfer(3, 1 + k)}};
+}
+template <>
+SubBlock<BOp> held_item(std::uint32_t k) {
+  return {1, 1 + k, {held_item<TaggedOp<BOp>>(k)}};
+}
 
-  EXPECT_TRUE(resolved);
+OpId id_of(const TaggedOp<BOp>& t) { return t.id; }
+OpId id_of(const SubBlock<BOp>& s) { return s.id(); }
+
+template <typename Item>
+class PayloadExchangeRecovery : public ::testing::Test {
+ protected:
+  using Net = SimNet<ExchangeMsg<Item>>;
+  using Exchange = PayloadExchange<Item, Net>;
+
+  /// Endpoint 0 fetches key 77; like a runtime, it cancels the fetch
+  /// once an item arrives, which lets the net go quiet.
+  void build(std::size_t n) {
+    net_ = std::make_unique<Net>(
+        n, NetConfig{.seed = 3, .min_delay = 1, .max_delay = 2});
+    nodes_.push_back(std::make_unique<Exchange>(
+        *net_, 0, [this](const Item&) {
+          ++stored_;
+          nodes_[0]->cancel(77);
+        }));
+    for (ProcessId p = 1; p < n; ++p) {
+      nodes_.push_back(
+          std::make_unique<Exchange>(*net_, p, [](const Item&) {}));
+    }
+  }
+
+  /// Stores `items` at endpoint `p` without pushing them to anyone.
+  void hold(ProcessId p, const std::vector<Item>& items) {
+    nodes_[p]->set_publish_enabled(false);
+    nodes_[p]->publish(items);
+  }
+
+  std::unique_ptr<Net> net_;
+  std::vector<std::unique_ptr<Exchange>> nodes_;
+  std::size_t stored_ = 0;
+};
+
+using ExchangeItems = ::testing::Types<TaggedOp<BOp>, SubBlock<BOp>>;
+TYPED_TEST_SUITE(PayloadExchangeRecovery, ExchangeItems);
+
+// The short fallback: a fetch whose first kFallbackAfter requests go
+// unanswered escalates to requesting the reference's FULL id list, keeps
+// retrying that until the link returns, and then terminates.
+TYPED_TEST(PayloadExchangeRecovery, ShortFallbackAfterRetryBound) {
+  this->build(2);
+  auto& requester = *this->nodes_[0];
+  const std::vector<TypeParam> held = {held_item<TypeParam>(0),
+                                       held_item<TypeParam>(1)};
+  const OpId missing = id_of(held[0]);
+  const OpId other = id_of(held[1]);
+  this->hold(1, held);
+
+  // Black out the link until t = 250.  Requests go out every kRetryDelay
+  // (40): the ones at t = 0, 40 and 80 ask for the missing id, and the
+  // fallback requests at t = 120, 160, 200 and 240 are lost too; the
+  // eighth, at t = 280, gets through.
+  std::vector<std::uint64_t> fallbacks_at_request;
+  this->net_->set_link_filter(
+      [&](ProcessId from, ProcessId, std::uint64_t now) {
+        if (from == 0) fallbacks_at_request.push_back(requester.fallbacks());
+        return now >= 250;
+      });
+  requester.fetch(/*key=*/77, /*proposer=*/1, {missing}, {missing, other});
+  this->net_->run();
+
+  // The fourth request is the first fallback, and the fallback is
+  // retried until answered.  Only the fallback request names `other`,
+  // so its arrival shows the request carried the full list.
+  EXPECT_EQ(fallbacks_at_request,
+            (std::vector<std::uint64_t>{0, 0, 0, 1, 1, 1, 1, 1}));
+  EXPECT_EQ(this->stored_, 2u);
+  for (const TypeParam& item : held) {
+    ASSERT_NE(requester.find(id_of(item)), nullptr);
+    EXPECT_EQ(*requester.find(id_of(item)), item);
+  }
+  EXPECT_EQ(requester.miss_recoveries(), 1u);
+  EXPECT_EQ(requester.requests_sent(), 8u);
+  EXPECT_EQ(requester.fallbacks(), 1u);
+  EXPECT_TRUE(requester.idle());
+}
+
+// A crashed proposer: the first request skips it and goes to the next
+// live peer, the only one holding the item, so exactly one request
+// recovers it.
+TYPED_TEST(PayloadExchangeRecovery, CrashedProposerSkippedToTheHolder) {
+  this->build(3);
+  auto& requester = *this->nodes_[0];
+  const TypeParam item = held_item<TypeParam>(0);
+  const OpId id = id_of(item);
+  this->hold(2, {item});
+  this->net_->crash(1);
+  std::vector<ProcessId> asked;
+  this->net_->set_link_filter(
+      [&asked](ProcessId from, ProcessId to, std::uint64_t) {
+        if (from == 0) asked.push_back(to);
+        return true;
+      });
+
+  requester.fetch(/*key=*/77, /*proposer=*/1, {id}, {id});
+  this->net_->run();
+
+  EXPECT_EQ(asked, std::vector<ProcessId>{2});
+  EXPECT_EQ(this->stored_, 1u);
   ASSERT_NE(requester.find(id), nullptr);
-  EXPECT_EQ(requester.find(id)->caller, 2u);
-  EXPECT_GE(requester.fallbacks(), 1u);
-  EXPECT_GT(requester.get_ops_sent(), 3u);
-  requester.cancel(77);
+  EXPECT_EQ(*requester.find(id), item);
+  EXPECT_EQ(requester.requests_sent(), 1u);
+  EXPECT_EQ(requester.fallbacks(), 0u);
   EXPECT_TRUE(requester.idle());
 }
 
@@ -256,7 +357,6 @@ TEST(ErbBatchCut, DeadlineFlushAndEmptyTick) {
   typename Node::Net net(4, make_net_config(FaultProfile::kNone, 5));
   HybridConfig hcfg;
   hcfg.erb_batch = 2;
-  hcfg.erb_deadline = 25;
   std::vector<std::unique_ptr<Node>> nodes;
   for (ProcessId p = 0; p < 4; ++p) {
     nodes.push_back(std::make_unique<Node>(

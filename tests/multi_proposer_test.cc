@@ -5,7 +5,7 @@
 //     reference sequence), and a repeated run reproduces the whole
 //     report bit for bit, network counters and sim time included;
 //   * recover-on-miss — with publishing force-disabled, every committed
-//     reference's sub-block must be fetched through the kGetSubs
+//     reference's sub-block must be fetched through the kGet
 //     round-trip, and the cluster still converges to one history;
 //   * racing-proposer dedup — two proposers referencing the SAME
 //     sub-block in adjacent slots apply it exactly once, every replica
@@ -92,7 +92,7 @@ TEST(MultiProposerMatrix, RepeatedRunIsByteIdentical) {
 // ---------------------------------------------------------------------------
 // Recover-on-miss: publishing force-disabled, so NO replica ever holds
 // a peer's sub-block when its reference commits — every apply must go
-// through the kGetSubs fetch round-trip back to the origin.
+// through the kGet fetch round-trip back to the origin.
 // ---------------------------------------------------------------------------
 
 TEST(MultiProposerRecovery, ForcedMissFetchesEverySubBlock) {

@@ -6,10 +6,12 @@
 //   latency.count latency.p99 proposal_bytes miss_recoveries
 //
 // The cells: every all_workloads() x all_fault_profiles() pair at seed 1;
-// crash_rejoin (fresh and stale) for both block workloads; the respend
-// storm under byzantine_equivocate; multi-proposer at P = 4 under
-// lossy_dup; compact relay under lossy_dup for the block storm,
-// mixed_sync_tiers and two-group zipfian shards; the three token races.
+// crash_rejoin (fresh and stale) for both block workloads, and fresh
+// under compact relay for the block storm; the respend storm under
+// byzantine_equivocate; multi-proposer at P = 4 under lossy_dup and
+// partition_heal; compact relay under lossy_dup and partition_heal for
+// the block storm, mixed_sync_tiers and two-group zipfian shards; the
+// three token races.
 //
 // On a mismatch the test prints the whole new table.  A deliberate
 // behaviour change is refreshed by pasting that table over kPinned.
@@ -69,19 +71,32 @@ std::vector<std::string> current_table() {
       add(stale ? "/stale" : "/fresh", c);
     }
   }
+  ScenarioConfig rejoin =
+      cell(Workload::kErc20BlockStorm, FaultProfile::kCrashRejoin);
+  rejoin.snapshot_interval = 2;
+  rejoin.prune = true;
+  rejoin.relay_mode = RelayMode::kCompact;
+  add("/fresh/compact", rejoin);
   add("", cell(Workload::kErc20RespendStorm,
                FaultProfile::kByzantineEquivocate));
-  ScenarioConfig mp =
-      cell(Workload::kErc20MultiproposerStorm, FaultProfile::kLossyDup);
-  mp.num_proposers = 4;
-  add("/p4", mp);
-  for (const Workload w :
-       {Workload::kErc20BlockStorm, Workload::kMixedSyncTiers,
-        Workload::kErc20ZipfianShards}) {
-    ScenarioConfig c = cell(w, FaultProfile::kLossyDup);
-    c.relay_mode = RelayMode::kCompact;
-    if (w == Workload::kErc20ZipfianShards) c.num_groups = 2;
-    add("/compact", c);
+  // The two reference-ordering designs' recover-on-miss, under loss and
+  // under a partition.
+  for (const FaultProfile f :
+       {FaultProfile::kLossyDup, FaultProfile::kPartitionHeal}) {
+    ScenarioConfig mp = cell(Workload::kErc20MultiproposerStorm, f);
+    mp.num_proposers = 4;
+    add("/p4", mp);
+  }
+  for (const FaultProfile f :
+       {FaultProfile::kLossyDup, FaultProfile::kPartitionHeal}) {
+    for (const Workload w :
+         {Workload::kErc20BlockStorm, Workload::kMixedSyncTiers,
+          Workload::kErc20ZipfianShards}) {
+      ScenarioConfig c = cell(w, f);
+      c.relay_mode = RelayMode::kCompact;
+      if (w == Workload::kErc20ZipfianShards) c.num_groups = 2;
+      add("/compact", c);
+    }
   }
   t.push_back(row("race_kat/lossy", run_token_race_scenario<KatRaceSpec>(
                                         4, FaultProfile::kLossyLinks, 1,
@@ -160,11 +175,16 @@ const char* const kPinned[] = {
     "erc20_block_storm/crash_rejoin/stale 1697053176164205828 57 15 2017 1266 239096 14 1261 7188 0",
     "mixed_block_escalate/crash_rejoin/fresh 3882550650531159328 56 16 2016 1189 181896 15 1360 7072 0",
     "mixed_block_escalate/crash_rejoin/stale 3882550650531159328 56 16 2019 1305 214696 15 1261 7072 0",
+    "erc20_block_storm/crash_rejoin/fresh/compact 1697053176164205828 57 15 2017 1365 162116 14 1177 756 11",
     "erc20_respend_storm/byzantine_equivocate 10743346445938458034 55 0 225 5142 908940 55 30 0 0",
     "erc20_multiproposer_storm/lossy_dup/p4 1893969325025421860 96 7 527 597 100808 96 202 532 8",
+    "erc20_multiproposer_storm/partition_heal/p4 1073707654876798748 96 5 977 511 110524 96 767 508 6",
     "erc20_block_storm/lossy_dup/compact 17059786171626132584 72 19 1094 1171 124032 19 854 956 5",
     "mixed_sync_tiers/lossy_dup/compact 1988614429817854403 61 13 986 3006 341028 61 719 624 4",
     "erc20_zipfian_shards/lossy_dup/compact 8258378656632542200 213 70 2692 4229 437676 70 1381 3104 26",
+    "erc20_block_storm/partition_heal/compact 4272327843773201432 72 19 1151 1060 131148 19 850 956 23",
+    "mixed_sync_tiers/partition_heal/compact 3198210378353810146 61 13 1056 4451 668096 61 786 624 13",
+    "erc20_zipfian_shards/partition_heal/compact 6891244494839418964 169 62 2033 3688 389140 62 910 2592 58",
     "race_kat/lossy 6762826402226871273 8 8 1040 701 49092 8 844 0 0",
     "race_erc721/lossy_dup 9347808088274582091 8 8 411 519 36464 8 246 0 0",
     "race_erc777/minority_crash 15811052539292711600 7 7 441 359 25020 6 275 0 0",

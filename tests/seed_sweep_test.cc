@@ -32,7 +32,7 @@
 #include <string>
 #include <vector>
 
-#include "net/compact_relay.h"
+#include "net/recover_on_miss.h"
 #include "sched/scenario.h"
 
 namespace tokensync {
