@@ -24,8 +24,8 @@
 //   batch_size = 1 is the PR 2 one-op-per-slot baseline.
 //
 // Alongside the console output the binary always writes
-// BENCH_block_pipeline.json, copied into bench/results/ on unfiltered
-// runs (see README.md "Reading the benchmarks").
+// BENCH_block_pipeline.json into the CWD; bench/results/ holds the
+// committed snapshot (see README.md "Reading the benchmarks").
 #include <benchmark/benchmark.h>
 
 #include <cstddef>

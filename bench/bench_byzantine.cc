@@ -7,7 +7,7 @@
 //   lane          0 = ERB (crash-tolerant baseline), 1 = Bracha
 //                 (Byzantine-tolerant: SEND/ECHO/READY, f = ⌊(n-1)/3⌋);
 //   fault         the all_fault_profiles() axis, same numbering as
-//                 bench_simnet / bench_hybrid_lanes;
+//                 bench_hybrid_lanes;
 //   equivocators  0 = honest run, 1 = the top replica forks its respend
 //                 SEND at the wire (SimNet::set_equivocator) — Bracha
 //                 lane only (the ERB lane has no equivocation defense,
@@ -21,9 +21,9 @@
 // caught; committed history and consensus_slots (always 0) match the
 // honest cell, the at-most-one-branch claim in benchmark form.
 //
-// Wall-clock per iteration is SIMULATION cost, not a protocol claim
-// (bench_simnet's caveat).  Writes BENCH_byzantine.json; unfiltered
-// runs copy it into bench/results/ (README.md "Reading the benchmarks").
+// Wall-clock per iteration is SIMULATION cost, not a protocol claim.
+// Writes BENCH_byzantine.json into the CWD; bench/results/ holds the
+// committed snapshot (README.md "Reading the benchmarks").
 #include <benchmark/benchmark.h>
 
 #include <cstddef>

@@ -33,10 +33,9 @@
 //                not in the history.
 //
 // Wall-clock time per iteration is the SIMULATION cost, not a protocol
-// claim (same caveat as bench_simnet).  Alongside the console output
-// the binary always writes BENCH_compact_relay.json, copied into
-// bench/results/ on unfiltered runs (README.md "Reading the
-// benchmarks").
+// claim.  Alongside the console output the binary always writes
+// BENCH_compact_relay.json into the CWD; bench/results/ holds the
+// committed snapshot (README.md "Reading the benchmarks").
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
@@ -56,8 +55,9 @@ void CompactRelay_Scenario(benchmark::State& state) {
                                        : Workload::kErc20FastlaneStorm;
   cfg.relay_mode =
       state.range(1) == 0 ? RelayMode::kFull : RelayMode::kCompact;
-  // Same fault-axis numbering as bench_simnet (all_fault_profiles()
-  // order: none, lossy, lossy_dup, partition_heal, minority_crash).
+  // The fault axis is all_fault_profiles() order (none, lossy,
+  // lossy_dup, partition_heal, minority_crash), as in every scenario
+  // bench.
   cfg.fault =
       all_fault_profiles()[static_cast<std::size_t>(state.range(2))];
   cfg.erb_batch = static_cast<std::size_t>(state.range(3));

@@ -23,10 +23,9 @@
 //   commits_per_ktime  — committed ops per 1000 simulated time units.
 //
 // Wall-clock time per iteration is the SIMULATION cost, not a protocol
-// claim (same caveat as bench_simnet).  Alongside the console output
-// the binary always writes BENCH_hybrid_lanes.json, copied into
-// bench/results/ on unfiltered runs (README.md "Reading the
-// benchmarks").
+// claim.  Alongside the console output the binary always writes
+// BENCH_hybrid_lanes.json into the CWD; bench/results/ holds the
+// committed snapshot (README.md "Reading the benchmarks").
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
@@ -42,9 +41,10 @@ void HybridLanes_Scenario(benchmark::State& state) {
   ScenarioConfig cfg;
   cfg.workload = state.range(0) == 0 ? Workload::kErc20FastlaneStorm
                                      : Workload::kMixedSyncTiers;
-  // Same fault-axis numbering as bench_simnet (all_fault_profiles()
-  // order: none, lossy, lossy_dup, partition_heal, minority_crash), so
-  // fault:N cells are comparable across the committed artifacts.
+  // The fault axis is all_fault_profiles() order (none, lossy,
+  // lossy_dup, partition_heal, minority_crash), as in every scenario
+  // bench, so fault:N cells are comparable across the committed
+  // artifacts.
   cfg.fault =
       all_fault_profiles()[static_cast<std::size_t>(state.range(1))];
   cfg.hybrid_force_consensus = state.range(2) == 1;

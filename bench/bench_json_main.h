@@ -1,19 +1,13 @@
 // Shared main() body for benches that always emit a JSON artifact: runs
 // google-benchmark with --benchmark_out defaulted to `default_out`
-// (format json) unless the caller passed their own --benchmark_out.
-//
-// When TOKENSYNC_BENCH_RESULTS_DIR is defined (bench/CMakeLists.txt
-// points it at <repo>/bench/results), the default artifact is also
-// copied there after the run: the build directory is disposable, the
-// results directory is the tracked path CI uploads and PRs commit
-// snapshots into — without the copy, every bench run strands its JSON
-// in build/bench/ and the cross-PR perf trajectory never accumulates.
+// (format json, in the CWD) unless the caller passed their own
+// --benchmark_out.  A bench never writes under bench/results/ on its
+// own: refreshing a committed snapshot names it explicitly
+// (bench/results/README.md).
 #pragma once
 
 #include <benchmark/benchmark.h>
 
-#include <cstdio>
-#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -37,46 +31,15 @@ inline void export_net_counters(benchmark::State& state,
       static_cast<double>(net.bytes_delivered);
 }
 
-/// Copies `artifact` (a file in the CWD) into the configured results
-/// directory, creating it if needed.  Best-effort: a failure warns on
-/// stderr but does not fail the bench run.
-inline void copy_artifact_to_results_dir(const std::string& artifact) {
-#ifdef TOKENSYNC_BENCH_RESULTS_DIR
-  namespace fs = std::filesystem;
-  std::error_code ec;
-  const fs::path dir(TOKENSYNC_BENCH_RESULTS_DIR);
-  fs::create_directories(dir, ec);
-  if (!ec) {
-    fs::copy_file(artifact, dir / fs::path(artifact).filename(),
-                  fs::copy_options::overwrite_existing, ec);
-  }
-  if (ec) {
-    std::fprintf(stderr, "warning: could not copy %s to %s: %s\n",
-                 artifact.c_str(), dir.string().c_str(),
-                 ec.message().c_str());
-  } else {
-    std::fprintf(stderr, "bench artifact: %s (copied to %s)\n",
-                 artifact.c_str(), dir.string().c_str());
-  }
-#else
-  (void)artifact;
-#endif
-}
-
 inline int run_benchmarks_with_default_json(int argc, char** argv,
                                             const char* default_out) {
   bool has_out = false;
-  bool filtered = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     // Exact flag or --benchmark_out=... — NOT --benchmark_out_format,
     // which alone should not suppress the default artifact.
     if (arg == "--benchmark_out" || arg.rfind("--benchmark_out=", 0) == 0) {
       has_out = true;
-    }
-    if (arg == "--benchmark_filter" ||
-        arg.rfind("--benchmark_filter=", 0) == 0) {
-      filtered = true;
     }
   }
   std::vector<char*> args(argv, argv + argc);
@@ -91,11 +54,6 @@ inline int run_benchmarks_with_default_json(int argc, char** argv,
   if (benchmark::ReportUnrecognizedArguments(n, args.data())) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  // A caller-directed --benchmark_out is the caller's artifact to
-  // manage, and a --benchmark_filter run is a partial grid: neither may
-  // overwrite the tracked full-grid snapshot — only unfiltered
-  // default-out runs feed the results trajectory.
-  if (!has_out && !filtered) copy_artifact_to_results_dir(default_out);
   return 0;
 }
 

@@ -33,10 +33,9 @@
 //                payload exchange's kGet round-trip (non-zero under loss).
 //
 // Wall-clock time per iteration is the SIMULATION cost, not a protocol
-// claim (same caveat as bench_simnet).  Alongside the console output
-// the binary always writes BENCH_multiproposer.json, copied into
-// bench/results/ on unfiltered runs (README.md "Reading the
-// benchmarks").
+// claim.  Alongside the console output the binary always writes
+// BENCH_multiproposer.json into the CWD; bench/results/ holds the
+// committed snapshot (README.md "Reading the benchmarks").
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
@@ -60,8 +59,9 @@ void MultiProposer_Scenario(benchmark::State& state) {
   ScenarioConfig cfg;
   cfg.workload = Workload::kErc20MultiproposerStorm;
   cfg.num_proposers = static_cast<std::size_t>(state.range(0));
-  // Same fault-axis numbering as bench_simnet (all_fault_profiles()
-  // order: none, lossy, lossy_dup, partition_heal, minority_crash).
+  // The fault axis is all_fault_profiles() order (none, lossy,
+  // lossy_dup, partition_heal, minority_crash), as in every scenario
+  // bench.
   cfg.fault =
       all_fault_profiles()[static_cast<std::size_t>(state.range(1))];
   cfg.num_replicas = 4;

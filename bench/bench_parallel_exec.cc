@@ -14,13 +14,13 @@
 // Per-op simulated validation (~0.5 µs) stands in for signature/VM work
 // — the parallelizable payload.  On a 1-core host every cell serializes:
 // the grid AXES are recorded either way, and multi-core hosts see the
-// spread (same caveat as bench_token_throughput, EXPERIMENTS.md E9).
+// spread.  The shards axis is E9's global-lock vs per-account-shard
+// comparison: shards:1 is one lock over the whole ledger.
 //
 // Alongside the console output the binary always writes
-// BENCH_parallel_exec.json, copied into bench/results/ so the artifact
-// trajectory accumulates across PRs (see README.md "Reading the
-// benchmarks").  Per-cell counters: waves, escalated ops, parallelism
-// (mean ops/wave).
+// BENCH_parallel_exec.json into the CWD; bench/results/ holds the
+// committed snapshot (see README.md "Reading the benchmarks").
+// Per-cell counters: waves, escalated ops, parallelism (mean ops/wave).
 #include <benchmark/benchmark.h>
 
 #include <cstddef>

@@ -39,8 +39,8 @@
 //
 // Wall-clock time per iteration is the SIMULATION cost, not a protocol
 // claim.  Alongside the console output the binary always writes
-// BENCH_recovery.json, copied into bench/results/ on unfiltered runs
-// (README.md "Reading the benchmarks").
+// BENCH_recovery.json into the CWD; bench/results/ holds the committed
+// snapshot (README.md "Reading the benchmarks").
 #include <benchmark/benchmark.h>
 
 #include <cstddef>

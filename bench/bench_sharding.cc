@@ -39,9 +39,9 @@
 //
 // Wall-clock time per iteration is the SIMULATION cost, not a protocol
 // claim; the keyspace axis reads it as real_time / committed, the host
-// ns per committed op.  Alongside the console output the binary always writes
-// BENCH_sharding.json, copied into bench/results/ on unfiltered runs
-// (README.md "Reading the benchmarks").
+// ns per committed op.  Alongside the console output the binary always
+// writes BENCH_sharding.json into the CWD; bench/results/ holds the
+// committed snapshot (README.md "Reading the benchmarks").
 #include <benchmark/benchmark.h>
 
 #include <cstddef>

@@ -8,18 +8,19 @@ For each committed `BENCH_<name>.json` in the results directory it runs
 `bench_<name>` from the bench directory unfiltered, writing its JSON to
 a temporary directory through `--benchmark_out` (so the committed file
 is never rewritten), and compares every field of every cell, in either
-file, except google-benchmark's own timing fields (`iterations`,
-`real_time`, `cpu_time`, `time_unit`, `items_per_second`).  The benches'
-counters are simulated or otherwise deterministic, so a change meant to
-move no event, byte or history line must leave them equal; a counter
-added to a bench needs its snapshot refreshed by an unfiltered run.
-Prints the first cell and field that differ per snapshot, or why the
-bench could not be run (with its stderr), and exits 1 on any failure.
-Standard library only.
+file, except google-benchmark's own timing fields (IGNORED).  The
+benches' counters are simulated or otherwise deterministic, so a change
+meant to move no event, byte or history line must leave them equal.
+Then it checks every CLAIMS row on the committed snapshot, which a
+refresh (an unfiltered run with `--benchmark_out=bench/results/
+BENCH_<name>.json`) must still satisfy.  Prints the first differing
+cell field per snapshot (or the bench's stderr, if it could not run)
+and every cell that fails a claim; exits 1 on any failure (stdlib only).
 """
 
 import argparse
 import json
+import operator
 import os
 import subprocess
 import sys
@@ -27,6 +28,41 @@ import tempfile
 
 IGNORED = {"iterations", "real_time", "cpu_time", "time_unit",
            "items_per_second"}
+
+# The experiments' claims, as data: (snapshot, cell-name substring,
+# field, relation, bound).  A row applies to every cell whose name holds
+# the substring; its bound is a constant, or (substring, field): that
+# field of the one cell whose name holds that substring.
+REC, SHARD, BYZ, MP = (f"BENCH_{n}.json" for n in
+                       ("recovery", "sharding", "byzantine", "multiproposer"))
+ONE_GROUP = "groups:1/cross:0/accounts:16/"
+CLAIMS = [
+    # E20: snapshots plus pruning bound the retained log.
+    (REC, "interval:0/", "snapshot_bytes", "==", 0),
+    (REC, "interval:0/", "pruned_slots", "==", 0),
+    (REC, "interval:2/prune:1/", "snapshot_bytes", ">", 0),
+    (REC, "interval:2/prune:1/", "pruned_slots", ">", 0),
+    (REC, "interval:2/prune:1/", "retained_log_bytes", "<",
+     ("interval:0/", "retained_log_bytes")),
+    # E22, E29: the busiest of four groups beats one total order.
+    (SHARD, ONE_GROUP, "slots", "==", (ONE_GROUP, "group_slots_max")),
+    (SHARD, "groups:4/cross:10/accounts:16/", "group_slots_max", "<",
+     (ONE_GROUP, "slots")),
+    (SHARD, "groups:4/cross:10/", "cross_ops", ">", 0),
+    # E24, E25: one proof and one branch per equivocation, no slots.
+    *((BYZ, "equivocators:1/", field, "==", 1) for field in
+      ("conflict_proofs", "quarantined_origins", "equivocation_commits")),
+    (BYZ, "equivocators:0/", "conflict_proofs", "==", 0),
+    (BYZ, "/", "consensus_slots", "==", 0),
+    (BYZ, "/", "committed", "==", ("lane:0/fault:0/", "committed")),
+    # E26, E27: four leaderless proposers commit the storm in fewer slots.
+    *((MP, f"proposers:4/fault:{f}/", "slots", "<",
+       (f"proposers:1/fault:{f}/", "slots")) for f in (0, 2, 4)),
+    (MP, "proposers:4/fault:2/", "commit_p99", "<",
+     ("proposers:1/fault:2/", "commit_p99")),
+    (MP, "proposers:4/fault:2/", "miss_recoveries", ">", 0),
+]
+RELATIONS = {"==": operator.eq, "<": operator.lt, ">": operator.gt}
 
 
 def cells(path):
@@ -36,22 +72,34 @@ def cells(path):
 
 def first_difference(committed, fresh):
     """Returns a description of the first differing cell field, or None."""
-    for name in committed:
-        if name not in fresh:
-            return f"cell {name}: missing from the fresh run"
-    for name in fresh:
-        if name not in committed:
-            return f"cell {name}: not in the committed snapshot"
+    for name in sorted(committed.keys() ^ fresh.keys()):
+        where = "the fresh run" if name in committed else "the snapshot"
+        return f"cell {name}: missing from {where}"
     for name, want in committed.items():
         got = fresh[name]
         for key in sorted((set(want) | set(got)) - IGNORED):
             if want.get(key) != got.get(key):
                 return (f"cell {name} field {key}: committed "
                         f"{want.get(key)!r}, fresh {got.get(key)!r}")
-    return None
 
 
-def check(snap, binary, results, min_time, tmp):
+def claim_failures(snap, snapshot):
+    """Yields a description of each failing cell of each CLAIMS row."""
+    for _, part, field, rel, bound in (c for c in CLAIMS if c[0] == snap):
+        want, shown = bound, repr(bound)
+        if isinstance(bound, tuple):
+            refs = [c for name, c in snapshot.items() if bound[0] in name]
+            want = refs[0].get(bound[1]) if len(refs) == 1 else None
+            shown = f"{want!r} (the {bound[0]} cell's {bound[1]})"
+        names = [name for name in snapshot if part in name]
+        for name in names or [f"<none holds {part}>"]:
+            got = snapshot.get(name, {}).get(field)
+            if got is None or want is None or not RELATIONS[rel](got, want):
+                yield (f"cell {name} field {field}: "
+                       f"{got!r} {rel} {shown} does not hold")
+
+
+def check(snap, binary, committed, min_time, tmp):
     """Returns a failure description for one snapshot, or None."""
     if not os.path.isfile(binary):
         return f"no bench binary {binary}"
@@ -64,7 +112,7 @@ def check(snap, binary, results, min_time, tmp):
     if run.returncode != 0 or not os.path.isfile(out):
         tail = "\n".join(run.stderr.splitlines()[-20:])
         return f"{os.path.basename(binary)} exited {run.returncode}:\n{tail}"
-    return first_difference(cells(os.path.join(results, snap)), cells(out))
+    return first_difference(committed, cells(out))
 
 
 def main():
@@ -77,23 +125,25 @@ def main():
                     help="--benchmark_min_time per cell (default 0.01)")
     args = ap.parse_args()
 
-    snapshots = sorted(f for f in os.listdir(args.results)
-                       if f.startswith("BENCH_") and f.endswith(".json"))
-    if not snapshots:
-        sys.exit(f"no BENCH_*.json in {args.results}")
+    # A missing snapshot that CLAIMS names fails: no cell matches.
+    snapshots = sorted({f for f in os.listdir(args.results)
+                        if f.startswith("BENCH_") and f.endswith(".json")}
+                       | {c[0] for c in CLAIMS})
     failed = False
     with tempfile.TemporaryDirectory() as tmp:
         for snap in snapshots:
-            stem = snap[len("BENCH_"):-len(".json")]
-            binary = os.path.abspath(
-                os.path.join(args.bench_dir, "bench_" + stem))
-            failure = check(snap, binary, args.results, args.min_time, tmp)
-            if failure:
-                failed = True
-                print(f"{snap}: FAILS: {failure}")
-            else:
-                n = len(cells(os.path.join(args.results, snap)))
-                print(f"{snap}: same ({n} cells)")
+            path = os.path.join(args.results, snap)
+            committed = cells(path) if os.path.isfile(path) else {}
+            binary = os.path.abspath(os.path.join(
+                args.bench_dir, "bench_" + snap[len("BENCH_"):-len(".json")]))
+            failure = check(snap, binary, committed, args.min_time, tmp)
+            claims = list(claim_failures(snap, committed))
+            rows = sum(c[0] == snap for c in CLAIMS)
+            print(f"{snap}: FAILS: {failure}" if failure else
+                  f"{snap}: same ({len(committed)} cells), {rows} claims")
+            for claim in claims:
+                print(f"{snap}: CLAIM FAILS: {claim}")
+            failed = failed or failure is not None or bool(claims)
     sys.exit(1 if failed else 0)
 
 

@@ -123,12 +123,13 @@ class BrachaNode {
                                      const Payload&)>;
   using OnConflict = std::function<void(const ConflictProof<Payload>&)>;
 
+  /// Retransmit timer period, in simulated time units (ErbNode's).
+  static constexpr std::uint64_t kRetransmitEvery = 50;
+
   BrachaNode(Net& net, ProcessId self, std::size_t f, Deliver deliver,
-             OnConflict on_conflict = {},
-             std::uint64_t retransmit_every = 50)
+             OnConflict on_conflict = {})
       : net_(net), self_(self), f_(f), deliver_(std::move(deliver)),
         on_conflict_(std::move(on_conflict)),
-        retransmit_every_(retransmit_every),
         next_deliver_(net.num_nodes(), 0) {
     TS_EXPECTS(net_.num_nodes() >= 3 * f_ + 1);
     net_.set_handler(self_, [this](ProcessId from, const Msg& m) {
@@ -213,7 +214,7 @@ class BrachaNode {
   void arm_timer() {
     if (timer_armed_) return;
     timer_armed_ = true;
-    net_.set_timer(self_, retransmit_every_, 0);
+    net_.set_timer(self_, kRetransmitEvery, 0);
   }
 
   void on_timer() {
@@ -339,7 +340,6 @@ class BrachaNode {
   std::size_t f_;
   Deliver deliver_;
   OnConflict on_conflict_;
-  std::uint64_t retransmit_every_;
   bool timer_armed_ = false;
   std::uint64_t next_seq_ = 0;
   std::map<Slot, SlotState> slots_;

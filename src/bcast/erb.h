@@ -62,10 +62,11 @@ class ErbNode {
   using Deliver = std::function<void(ProcessId origin, std::uint64_t seq,
                                      const Payload&)>;
 
-  ErbNode(Net& net, ProcessId self, Deliver deliver,
-          std::uint64_t retransmit_every = 50)
+  /// Retransmit timer period, in simulated time units.
+  static constexpr std::uint64_t kRetransmitEvery = 50;
+
+  ErbNode(Net& net, ProcessId self, Deliver deliver)
       : net_(net), self_(self), deliver_(std::move(deliver)),
-        retransmit_every_(retransmit_every),
         next_deliver_(net.num_nodes(), 0) {
     net_.set_handler(self_, [this](ProcessId from, const Msg& m) {
       on_message(from, m);
@@ -144,7 +145,7 @@ class ErbNode {
   void arm_timer() {
     if (timer_armed_) return;
     timer_armed_ = true;
-    net_.set_timer(self_, retransmit_every_, 0);
+    net_.set_timer(self_, kRetransmitEvery, 0);
   }
 
   void on_message(ProcessId from, const Msg& m) {
@@ -204,7 +205,6 @@ class ErbNode {
   Net& net_;
   ProcessId self_;
   Deliver deliver_;
-  std::uint64_t retransmit_every_;
   bool timer_armed_ = false;
   std::uint64_t next_seq_ = 0;
   /// Received but not yet deliverable (a gap below it in its origin's

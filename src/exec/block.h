@@ -36,13 +36,11 @@
 
 namespace tokensync {
 
-/// Block-formation knobs.
+/// Block-formation knobs.  The builder is tickless: the deadline cut's
+/// period is the driver's (ScenarioConfig::block_deadline).
 struct BlockConfig {
   /// Size cut: a block never carries more than this many operations.
   std::size_t max_ops = 8;
-  /// Deadline cut period, in simulated time units — drivers schedule an
-  /// on_deadline() tick this often (the builder itself is tickless).
-  std::uint64_t deadline = 25;
 };
 
 /// One consensus payload: a bounded run of pooled operations, in pool

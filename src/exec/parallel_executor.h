@@ -77,8 +77,6 @@ class ParallelExecutor {
     if (opts_.threads > 1) pool_ = std::make_unique<ThreadPool>(opts_.threads);
   }
 
-  const ExecOptions& options() const noexcept { return opts_; }
-
   /// Plans and executes one batch; returns when every operation applied.
   ExecReport execute(const std::vector<BatchOp>& batch) {
     ExecReport rep;

@@ -83,7 +83,6 @@ class ReplayEngine {
   }
 
   const Ledger& ledger() const noexcept { return ledger_; }
-  const ExecOptions& options() const noexcept { return exec_.options(); }
 
   std::size_t blocks_applied() const noexcept { return blocks_; }
   std::size_t ops_applied() const noexcept { return ops_; }

@@ -122,8 +122,6 @@ class SubBlockBuilder {
     return wrap(std::move(ops));
   }
 
-  std::size_t subblocks_cut() const noexcept { return next_seq_ - 1; }
-
  private:
   std::optional<Sub> wrap(std::vector<typename TxPool<S>::Tagged> tagged) {
     Sub s;

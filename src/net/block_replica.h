@@ -12,16 +12,16 @@
 //
 // Clients call submit(caller, op): the op enters the pool, and a full
 // pool cuts a block immediately (size cut).  The driver ticks
-// on_deadline() every BlockConfig::deadline time units so a partial fill
-// never waits forever (deadline cut; an empty pool cuts nothing).  Cut
-// blocks ride the Paxos-backed total-order broadcast — a block is ONE
-// consensus value, so it commits atomically or not at all, and
-// duplicated delivery of its decision cannot double-apply (slot dedup in
-// the broadcast).  Every replica replays each committed block through
-// its own ReplayEngine; because replay is outcome-deterministic in the
-// worker thread count, replicas running 1, 2 and 8 replay threads hold
-// byte-identical committed histories from the same seed — the block
-// pipeline's acceptance criterion.
+// on_deadline() every ScenarioConfig::block_deadline time units so a
+// partial fill never waits forever (deadline cut; an empty pool cuts
+// nothing).  Cut blocks ride the Paxos-backed total-order broadcast — a
+// block is ONE consensus value, so it commits atomically or not at all,
+// and duplicated delivery of its decision cannot double-apply (slot
+// dedup in the broadcast).  Every replica replays each committed block
+// through its own ReplayEngine; because replay is outcome-deterministic
+// in the worker thread count, replicas running 1, 2 and 8 replay threads
+// hold byte-identical committed histories from the same seed — the
+// block pipeline's acceptance criterion.
 //
 // Relay modes (net/recover_on_miss.h):
 //   * kFull    — the consensus value carries the whole block payload
@@ -45,9 +45,8 @@
 //
 // Presents the scenario harness's runtime surface (ReplicaRuntime in
 // sched/scenario.h) with op-granular accounting: submitted() counts
-// OPERATIONS (the unit the settlement audit cares about),
-// blocks_submitted() the consensus payloads they were batched into.  The
-// log / history / latency plumbing lives once in ReplicaCore
+// OPERATIONS (the unit the settlement audit cares about).  The log /
+// history / latency plumbing lives once in ReplicaCore
 // (net/replica_core.h).
 // Recovery (DESIGN.md §13, the ISSUE 7 tentpole): behind RecoveryConfig
 // the node cuts a Snapshot<S> at every interval-th slot boundary,
@@ -242,8 +241,9 @@ class BlockReplicaNode {
     return true;
   }
 
-  /// Deadline tick (drivers schedule this every BlockConfig::deadline):
-  /// flushes a partial fill; a no-op on an empty pool (or mid-recovery).
+  /// Deadline tick (drivers schedule this every
+  /// ScenarioConfig::block_deadline): flushes a partial fill; a no-op on
+  /// an empty pool (or mid-recovery).
   void on_deadline() {
     if (recovering_) return;
     if (auto tb = builder_.cut_tagged()) propose(std::move(*tb));
@@ -287,17 +287,14 @@ class BlockReplicaNode {
   // --- block-granular accounting ---
 
   const ReplayEngine<S>& engine() const noexcept { return *engine_; }
-  std::size_t blocks_submitted() const noexcept { return core_.submitted(); }
   std::size_t slots_committed() const noexcept { return core_.log().size(); }
   std::size_t ops_committed() const noexcept { return engine_->ops_applied(); }
   std::uint64_t last_commit_time() const noexcept {
     return core_.last_commit_time();
   }
-  const BlockBuilder<S>& builder() const noexcept { return builder_; }
 
   // --- relay accounting / test hooks ---
 
-  RelayMode relay_mode() const noexcept { return relay_mode_; }
   const Relay& relay() const noexcept { return relay_; }
   std::uint64_t miss_recoveries() const noexcept {
     return relay_.miss_recoveries();
@@ -325,7 +322,6 @@ class BlockReplicaNode {
 
   // --- recovery accounting / test hooks (DESIGN.md §13) ---
 
-  const RecoveryConfig& recovery_config() const noexcept { return rcfg_; }
   Recovery& recovery() noexcept { return recovery_; }
   const Recovery& recovery() const noexcept { return recovery_; }
   /// Still replaying toward the catch-up frontier (rejoiner only).
@@ -349,7 +345,6 @@ class BlockReplicaNode {
     const Snap* snap = recovery_.store().newest();
     return snap ? snap->serialize().size() : 0;
   }
-  std::size_t snapshots_cut() const noexcept { return snapshots_cut_; }
   std::uint64_t pruned_slots() const noexcept { return tob_.pruned_slots(); }
   std::size_t retained_slots() const noexcept {
     return tob_.retained_slots();
@@ -383,7 +378,6 @@ class BlockReplicaNode {
       body.full = std::move(tb.block);
     }
     body.ids = std::move(tb.ids);  // both modes: the applied-id filter's keys
-    core_.note_submission();
     const std::uint64_t nonce = tob_.broadcast(Value(std::move(body)));
     core_.start_latency(nonce, net_.now());
   }
@@ -391,9 +385,20 @@ class BlockReplicaNode {
   void on_commit(std::uint64_t slot, ProcessId origin, std::uint64_t nonce,
                  const Value& v) {
     // Copied (a count bump) before try_apply can truncate the log `v`
-    // lives in.
-    parked_.push_back(Parked{slot, origin, nonce, v});
+    // lives in.  A boundary slot also keeps the per-origin frontier of
+    // its own delivery: under compact relay the broadcast goes on
+    // delivering later slots while this one is parked, and the snapshot
+    // cut at its apply must not cover them (DESIGN.md §13.1).
+    Parked p{slot, origin, nonce, v, {}};
+    if (boundary(slot)) p.frontier = tob_.origin_frontiers();
+    parked_.push_back(std::move(p));
     try_apply();
+  }
+
+  /// Slot `slot` is the last one below a snapshot boundary.
+  bool boundary(std::uint64_t slot) const noexcept {
+    return rcfg_.snapshot_interval > 0 &&
+           (slot + 1) % rcfg_.snapshot_interval == 0;
   }
 
   /// Applies parked blocks strictly in commit (slot) order; the head
@@ -424,6 +429,7 @@ class BlockReplicaNode {
       const std::uint64_t slot = h.slot;
       const ProcessId origin = h.origin;
       const std::uint64_t nonce = h.nonce;
+      std::vector<std::uint64_t> frontier = std::move(h.frontier);
       // Held here: the pop below and a truncation in cut_snapshot may
       // drop every other reference to the body before on_apply_ runs.
       const Value value = std::move(h.value);
@@ -447,10 +453,7 @@ class BlockReplicaNode {
       core_.append(slot, origin, net_.now(), engine_->apply(applied));
       if (origin == self_) core_.finish_latency(nonce, net_.now());
       parked_.pop_front();
-      if (rcfg_.snapshot_interval > 0 &&
-          (slot + 1) % rcfg_.snapshot_interval == 0) {
-        cut_snapshot(slot + 1);
-      }
+      if (boundary(slot)) cut_snapshot(slot + 1, std::move(frontier));
       if (on_apply_) on_apply_(slot, applied);
     }
     if (recovering_ && have_target_ &&
@@ -459,19 +462,21 @@ class BlockReplicaNode {
     }
   }
 
-  /// Freezes the replica's image at `boundary` (slots [0, boundary) are
-  /// applied), retains it, gossips the durable mark, and — with pruning
-  /// on — truncates the consensus log below the all-replica mark floor.
-  void cut_snapshot(std::uint64_t boundary) {
+  /// Freezes the replica's image at `next_slot` (slots [0, next_slot)
+  /// are applied), with the per-origin nonce frontier the broadcast held
+  /// when slot next_slot - 1 was delivered; retains it, gossips the
+  /// durable mark, and — with pruning on — truncates the consensus log
+  /// below the all-replica mark floor.
+  void cut_snapshot(std::uint64_t next_slot,
+                    std::vector<std::uint64_t> frontier) {
     Snap snap;
-    snap.next_slot = boundary;
+    snap.next_slot = next_slot;
     snap.state = engine_->ledger().snapshot();
-    snap.origin_frontier = tob_.origin_frontiers();
+    snap.origin_frontier = std::move(frontier);
     snap.applied_ids = merge_applied_delta();
     snap.pool_residue = pool_.peek_tagged();
     recovery_.store().add(std::move(snap));
-    ++snapshots_cut_;
-    recovery_.mark(boundary);
+    recovery_.mark(next_slot);
     if (rcfg_.prune) tob_.truncate_below(recovery_.prune_floor());
   }
 
@@ -580,6 +585,8 @@ class BlockReplicaNode {
     ProcessId origin = 0;
     std::uint64_t nonce = 0;
     Value value;
+    /// Boundary slots only: tob_.origin_frontiers() at delivery.
+    std::vector<std::uint64_t> frontier;
   };
 
   Net& net_;
@@ -613,7 +620,6 @@ class BlockReplicaNode {
   std::uint64_t catchup_ops_ = 0;
   std::uint64_t install_slot_ = 0;
   std::uint64_t installed_hash_ = 0;
-  std::size_t snapshots_cut_ = 0;
 };
 
 }  // namespace tokensync

@@ -376,7 +376,6 @@ class HybridReplicaNode {
   std::size_t ops_committed() const noexcept { return engine_->ops_applied(); }
   /// Fast-lane ops applied here (inside barrier epochs + terminal epoch).
   std::size_t fast_lane_ops() const noexcept { return fast_lane_ops_; }
-  std::size_t fast_submitted() const noexcept { return fast_ops_submitted_; }
   /// Fast batches this replica broadcast (ops / batches = the achieved
   /// amortization the E19 sweep reports).
   std::size_t fast_batches() const noexcept { return fast_batches_submitted_; }
@@ -405,7 +404,6 @@ class HybridReplicaNode {
 
   // --- relay accounting / test hooks ---
 
-  RelayMode relay_mode() const noexcept { return cfg_.relay_mode; }
   const Relay& relay() const noexcept { return relay_; }
   std::uint64_t miss_recoveries() const noexcept {
     return relay_.miss_recoveries();

@@ -105,9 +105,6 @@ struct MultiProposerConfig {
   std::size_t num_proposers = 1;
   /// Sub-block size cut (ops per sub-block; the dissemination batch).
   std::size_t subblock_max_ops = 4;
-  /// Deadline-cut tick period — drivers schedule on_deadline() this
-  /// often (flushes partial fills, re-publishes unreferenced cuts).
-  std::uint64_t deadline = 25;
   /// Proposal pacing: the rotating primary fires this many ticks after
   /// waking, rank-r backups kProposeStagger later per rank.
   std::uint64_t propose_base = 4;
@@ -197,9 +194,10 @@ class MultiProposerNode {
     if (auto s = builder_.cut_if_full()) adopt_own(std::move(*s));
   }
 
-  /// Deadline tick (drivers schedule this every cfg.deadline): flushes
-  /// a partial fill, re-publishes own sub-blocks still unreferenced
-  /// (bounded by kRepublishAfter), and re-checks the proposal pacing.
+  /// Deadline tick (drivers schedule this every
+  /// ScenarioConfig::block_deadline): flushes a partial fill,
+  /// re-publishes own sub-blocks still unreferenced (bounded by
+  /// kRepublishAfter), and re-checks the proposal pacing.
   void on_deadline() {
     if (auto s = builder_.cut()) adopt_own(std::move(*s));
     republish_pending();
@@ -225,7 +223,6 @@ class MultiProposerNode {
     v.refs = collect_uncovered();
     if (v.refs.empty()) return;
     proposal_outstanding_ = true;
-    core_.note_submission();
     tob_.broadcast(std::move(v));
   }
 
@@ -264,8 +261,6 @@ class MultiProposerNode {
   std::uint64_t last_commit_time() const noexcept {
     return core_.last_commit_time();
   }
-  /// Reference proposals this node broadcast.
-  std::size_t proposals_sent() const noexcept { return core_.submitted(); }
   /// Consensus-value bytes of the slots committed here.
   std::uint64_t proposal_bytes() const noexcept { return proposal_bytes_; }
   /// Fresh sub-block references applied across all committed slots
@@ -277,10 +272,6 @@ class MultiProposerNode {
   /// proposers; deterministic — a pure function of the committed
   /// reference sequence).
   std::uint64_t dup_refs_dropped() const noexcept { return dup_refs_dropped_; }
-  /// Duplicate OPS dropped inside fresh sub-blocks (an op pooled and
-  /// cut at two origins; the §10 applied-id guard at sub-block
-  /// granularity).
-  std::uint64_t dup_ops_dropped() const noexcept { return dup_ops_dropped_; }
 
   const Exchange& exchange() const noexcept { return exchange_; }
   std::uint64_t miss_recoveries() const noexcept {
@@ -448,11 +439,11 @@ class MultiProposerNode {
         const Sub* s = exchange_.find(r.block_id);
         TS_EXPECTS(s != nullptr);
         for (const TaggedOp<BatchOp>& t : s->ops) {
+          // An op pooled and cut at two origins applies once (the
+          // §10 applied-id guard at sub-block granularity).
           if (applied_ids_.insert(t.id)) {
             merged.ops.push_back(t.op);
             fresh_ops.push_back(t.id);
-          } else {
-            ++dup_ops_dropped_;
           }
         }
       }
@@ -505,7 +496,6 @@ class MultiProposerNode {
   std::uint64_t proposal_bytes_ = 0;
   std::uint64_t subblocks_applied_ = 0;
   std::uint64_t dup_refs_dropped_ = 0;
-  std::uint64_t dup_ops_dropped_ = 0;
 };
 
 }  // namespace tokensync

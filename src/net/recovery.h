@@ -210,7 +210,6 @@ class RecoveryEndpoint {
   bool fetching() const noexcept { return fetching_; }
 
   std::uint64_t snap_requests_sent() const noexcept { return requests_; }
-  std::uint64_t snapshots_served() const noexcept { return served_; }
 
   /// Test hook: refuse to serve snapshots newer than this boundary (the
   /// rejoin-with-stale-snapshot variant forces a stale first install).
@@ -227,7 +226,6 @@ class RecoveryEndpoint {
                 store_.newest_in(m.min_slot, max_served_)) {
           r.has_snapshot = true;
           r.bytes = snap->serialize();
-          ++served_;
         }
         // Reply even without a snapshot: the frontier alone gives a
         // from-empty rejoiner its catch-up target (interval = 0 runs
@@ -288,7 +286,6 @@ class RecoveryEndpoint {
   std::size_t attempts_ = 0;
   std::uint64_t max_served_ = std::numeric_limits<std::uint64_t>::max();
   std::uint64_t requests_ = 0;
-  std::uint64_t served_ = 0;
 };
 
 }  // namespace tokensync

@@ -764,12 +764,10 @@ class ShardedReplicaNode {
   /// dest pin exercises the commit-reject → abort → refund path.
   void submit_transfer_routed(AccountId src, AccountId dst, Amount value,
                               std::uint32_t gs, std::uint32_t gd) {
-    ++client_ops_;
     if (gs == gd) {
       groups_.at(gs)->submit(self_, ShardOp::transfer(src, dst, value));
       return;
     }
-    ++cross_submitted_;
     groups_.at(gs)->submit(
         self_, ShardOp::prepare(next_txid(), src, dst, value, gs, gd));
   }
@@ -779,8 +777,6 @@ class ShardedReplicaNode {
   void submit_migrate(AccountId account, std::uint32_t to_group) {
     const std::uint32_t gs = route_.at(account);
     if (to_group >= scfg_.num_groups || to_group == gs) return;
-    ++client_ops_;
-    ++migrations_submitted_;
     groups_[gs]->submit(
         self_, ShardOp::migrate_out(next_txid(), account, gs, to_group));
   }
@@ -864,11 +860,6 @@ class ShardedReplicaNode {
     return groups_.at(g)->engine().ledger().snapshot();
   }
   std::uint32_t route(AccountId a) const { return route_.at(a); }
-  std::size_t client_ops() const noexcept { return client_ops_; }
-  std::size_t cross_submitted() const noexcept { return cross_submitted_; }
-  std::size_t migrations_submitted() const noexcept {
-    return migrations_submitted_;
-  }
   std::size_t ops_committed() const {
     std::size_t sum = 0;
     for (const auto& g : groups_) sum += g->ops_committed();
@@ -1048,9 +1039,6 @@ class ShardedReplicaNode {
   /// Per group: txid -> last stage this node reacted to.
   std::vector<std::map<std::uint64_t, ShardTxStage>> stage_view_;
   std::uint32_t seq_ = 0;
-  std::size_t client_ops_ = 0;
-  std::size_t cross_submitted_ = 0;
-  std::size_t migrations_submitted_ = 0;
 };
 
 }  // namespace tokensync

@@ -210,8 +210,7 @@ ExecOptions exec_options(const ScenarioConfig& cfg) {
 }
 
 BlockConfig block_config(const ScenarioConfig& cfg) {
-  return BlockConfig{.max_ops = cfg.block_max_ops,
-                     .deadline = cfg.block_deadline};
+  return BlockConfig{.max_ops = cfg.block_max_ops};
 }
 
 RecoveryConfig recovery_config(const ScenarioConfig& cfg) {
@@ -913,8 +912,7 @@ ScenarioReport run_erc20_multiproposer_storm(const ScenarioConfig& cfg) {
   constexpr std::uint64_t kCadence = 6;
   const Amount kInitial = 100;
   const MultiProposerConfig mcfg{.num_proposers = cfg.num_proposers,
-                                 .subblock_max_ops = cfg.subblock_max_ops,
-                                 .deadline = cfg.block_deadline};
+                                 .subblock_max_ops = cfg.subblock_max_ops};
   MultiProposerCluster h(cfg, erc20_initial(kAccts, kInitial, 2), mcfg,
                          exec_options(cfg));
 

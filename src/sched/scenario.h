@@ -25,8 +25,8 @@
 // Determinism is inherited from SimNet: two runs of the same scenario
 // with the same seed produce byte-identical ScenarioReports (including
 // the committed history and the network statistics) — the property
-// tests/scenario_test.cc asserts and bench/bench_simnet.cc relies on for
-// reproducible measurements.
+// tests/scenario_test.cc asserts and tests/scenario_pin_test.cc and
+// tsbench rely on for reproducible measurements.
 #pragma once
 
 #include <algorithm>
@@ -354,7 +354,7 @@ ScenarioReport run_scenario(const ScenarioConfig& cfg);
 
 // ---------------------------------------------------------------------------
 // Harness building blocks (shared by run_scenario, the templated race
-// scenario below, bench_simnet and the examples).
+// scenario below and the examples).
 // ---------------------------------------------------------------------------
 
 /// Control-event timing of the built-in fault schedules.

@@ -10,6 +10,9 @@
 //   * rejoin-from-empty — snapshot_interval = 0 leaves nothing to
 //     install: the rejoiner replays the WHOLE retained log from slot 0;
 //   * the stale-snapshot variant — a stale first install is superseded;
+//   * compact relay — a snapshot's nonce frontier is the one its boundary
+//     slot was delivered with, even while later slots are delivered
+//     behind a parked head;
 //   * edge cases — rejoin inside an active partition, cuts after an
 //     install (every later cut of the rejoiner hashes equal to a
 //     survivor's at the same boundary, across a racing double submit),
@@ -199,6 +202,42 @@ TEST(CrashRejoin, HistoryInvariantAcrossReplayThreadsPerRelayMode) {
           << "threads=" << threads << ": " << rep.summary();
       EXPECT_EQ(base.history, rep.history) << "threads=" << threads;
       EXPECT_EQ(base.slots, rep.slots);
+    }
+  }
+}
+
+// Under compact relay a parked head lets the broadcast go on delivering
+// later slots, so the frontier it holds when the boundary slot APPLIES
+// can cover slots at or above the boundary; a rejoiner that adopts that
+// as its nonce floor skips them and diverges.  The snapshot must carry
+// the frontier of the boundary slot's own delivery.  The cells below are
+// those of seeds 1-1500 where an apply-time frontier fails the audit.
+TEST(CrashRejoin, CompactSnapshotFrontierIsTheBoundarySlots) {
+  struct Cell {
+    Workload workload;
+    bool stale;
+    std::vector<std::uint64_t> seeds;
+  };
+  const Cell cells[] = {
+      {Workload::kErc20BlockStorm, false, {99, 193, 331, 396}},
+      {Workload::kErc20BlockStorm, true, {294, 331, 393, 396}},
+      {Workload::kMixedBlockEscalate, false, {64, 331}},
+      {Workload::kMixedBlockEscalate, true, {64, 331}},
+  };
+  for (const Cell& cell : cells) {
+    for (const std::uint64_t seed : cell.seeds) {
+      ScenarioConfig cfg;
+      cfg.workload = cell.workload;
+      cfg.fault = FaultProfile::kCrashRejoin;
+      cfg.seed = seed;
+      cfg.relay_mode = RelayMode::kCompact;
+      cfg.snapshot_interval = 2;
+      cfg.prune = true;
+      cfg.rejoin_stale = cell.stale;
+      const ScenarioReport rep = run_scenario(cfg);
+      EXPECT_TRUE(rep.ok()) << to_string(cell.workload) << " stale="
+                            << cell.stale << " seed=" << seed << ": "
+                            << rep.summary();
     }
   }
 }

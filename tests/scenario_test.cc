@@ -306,7 +306,7 @@ StormRun block_storm_script(std::size_t beats) {
       std::vector<std::vector<Amount>>(kAccts,
                                        std::vector<Amount>(kAccts, 2)));
   ClusterHarness<BlockReplicaNode<Erc20LedgerSpec>> h(
-      c, initial, BlockConfig{.max_ops = 64, .deadline = kPeriod},
+      c, initial, BlockConfig{.max_ops = 64},
       ExecOptions{.threads = 1});
   Rng rng(c.seed);
   StormRun r;
