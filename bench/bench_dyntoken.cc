@@ -18,6 +18,7 @@
 #include <memory>
 #include <vector>
 
+#include "bench_json_main.h"
 #include "common/rng.h"
 #include "dyntoken/dyntoken.h"
 
@@ -75,35 +76,32 @@ std::pair<std::uint64_t, std::uint64_t> run_workload(
   return {net.stats().sent, settled};
 }
 
-void DynPerAccount(benchmark::State& state) {
-  Workload w;
-  w.multi_spender_pct = static_cast<int>(state.range(0));
+/// Runs `w` in `mode` at `seed` on every iteration.  The seed is fixed
+/// per cell, so `msgs_per_op` does not depend on how many iterations
+/// google-benchmark fits.
+void run_cell(benchmark::State& state, const Workload& w,
+              DynTokenNode::Mode mode, std::uint64_t seed) {
   std::uint64_t msgs = 0;
-  std::uint64_t seed = 1;
   for (auto _ : state) {
-    auto [sent, settled] =
-        run_workload(w, DynTokenNode::Mode::kPerAccountGroups, seed++);
+    auto [sent, settled] = run_workload(w, mode, seed);
     msgs = sent;
     benchmark::DoNotOptimize(settled);
   }
   state.counters["msgs_per_op"] =
       static_cast<double>(msgs) / static_cast<double>(w.ops);
 }
+
+void DynPerAccount(benchmark::State& state) {
+  Workload w;
+  w.multi_spender_pct = static_cast<int>(state.range(0));
+  run_cell(state, w, DynTokenNode::Mode::kPerAccountGroups, 1);
+}
 BENCHMARK(DynPerAccount)->Arg(0)->Arg(25)->Arg(50)->Arg(100);
 
 void DynGlobalOrder(benchmark::State& state) {
   Workload w;
   w.multi_spender_pct = static_cast<int>(state.range(0));
-  std::uint64_t msgs = 0;
-  std::uint64_t seed = 1;
-  for (auto _ : state) {
-    auto [sent, settled] =
-        run_workload(w, DynTokenNode::Mode::kGlobalOrder, seed++);
-    msgs = sent;
-    benchmark::DoNotOptimize(settled);
-  }
-  state.counters["msgs_per_op"] =
-      static_cast<double>(msgs) / static_cast<double>(w.ops);
+  run_cell(state, w, DynTokenNode::Mode::kGlobalOrder, 1);
 }
 BENCHMARK(DynGlobalOrder)->Arg(0)->Arg(25)->Arg(50)->Arg(100);
 
@@ -111,19 +109,13 @@ void DynScaleReplicas(benchmark::State& state) {
   Workload w;
   w.nodes = static_cast<std::size_t>(state.range(0));
   w.multi_spender_pct = 25;
-  std::uint64_t msgs = 0;
-  std::uint64_t seed = 3;
-  for (auto _ : state) {
-    auto [sent, settled] =
-        run_workload(w, DynTokenNode::Mode::kPerAccountGroups, seed++);
-    msgs = sent;
-    benchmark::DoNotOptimize(settled);
-  }
-  state.counters["msgs_per_op"] =
-      static_cast<double>(msgs) / static_cast<double>(w.ops);
+  run_cell(state, w, DynTokenNode::Mode::kPerAccountGroups, 3);
 }
 BENCHMARK(DynScaleReplicas)->Arg(3)->Arg(5)->Arg(8);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  return tokensync_bench::run_benchmarks_with_default_json(
+      argc, argv, "BENCH_dyntoken.json");
+}

@@ -33,8 +33,9 @@ IGNORED = {"iterations", "real_time", "cpu_time", "time_unit",
 # field, relation, bound).  A row applies to every cell whose name holds
 # the substring; its bound is a constant, or (substring, field): that
 # field of the one cell whose name holds that substring.
-REC, SHARD, BYZ, MP = (f"BENCH_{n}.json" for n in
-                       ("recovery", "sharding", "byzantine", "multiproposer"))
+REC, SHARD, BYZ, MP, DYN = (
+    f"BENCH_{n}.json" for n in
+    ("recovery", "sharding", "byzantine", "multiproposer", "dyntoken"))
 ONE_GROUP = "groups:1/cross:0/accounts:16/"
 CLAIMS = [
     # E20: snapshots plus pruning bound the retained log.
@@ -61,6 +62,10 @@ CLAIMS = [
     (MP, "proposers:4/fault:2/", "commit_p99", "<",
      ("proposers:1/fault:2/", "commit_p99")),
     (MP, "proposers:4/fault:2/", "miss_recoveries", ">", 0),
+    # E10: per-account spender groups cost fewer messages per op than
+    # one global order, at every multi-spender share.
+    *((DYN, f"DynPerAccount/{p}", "msgs_per_op", "<",
+       (f"DynGlobalOrder/{p}", "msgs_per_op")) for p in (0, 25, 50, 100)),
 ]
 RELATIONS = {"==": operator.eq, "<": operator.lt, ">": operator.gt}
 
