@@ -111,7 +111,8 @@ struct ConflictProof {
 /// `NetT` defaults to the plain SimNet carrying BrachaMsg<Payload> — the
 /// standalone configuration (tests/bracha_test.cc, tests/bcast_test.cc).
 /// Any type with the same send/send_all/set_handler/set_timer surface
-/// works; the hybrid replica passes a LaneNet (net/lane_mux.h) so the
+/// works (set_timer takes the closure to run, which captures this node);
+/// the hybrid replica passes a LaneNet (net/lane_mux.h) so the
 /// Bracha fast lane shares ONE simulated network with the consensus and
 /// relay lanes.
 template <typename Payload, typename NetT = SimNet<BrachaMsg<Payload>>>
@@ -135,7 +136,6 @@ class BrachaNode {
     net_.set_handler(self_, [this](ProcessId from, const Msg& m) {
       on_message(from, m);
     });
-    net_.set_timer_handler(self_, [this](std::uint64_t) { on_timer(); });
   }
 
   /// FIFO-broadcasts payload from this node; returns its sequence
@@ -214,7 +214,7 @@ class BrachaNode {
   void arm_timer() {
     if (timer_armed_) return;
     timer_armed_ = true;
-    net_.set_timer(self_, kRetransmitEvery, 0);
+    net_.set_timer(self_, kRetransmitEvery, [this] { on_timer(); });
   }
 
   void on_timer() {

@@ -51,7 +51,8 @@ struct ErbMsg {
 ///
 /// `NetT` defaults to the plain SimNet carrying ErbMsg<Payload> — the
 /// standalone configuration (at_bcast, the dedicated tests).  Any type
-/// with the same send/send_all/set_handler/set_timer surface works; the
+/// with the same send/send_all/set_handler/set_timer surface works
+/// (set_timer takes the closure to run, which captures this node); the
 /// hybrid replica runtime passes a LaneNet (net/lane_mux.h) so the ERB
 /// fast lane and the Paxos consensus lane share ONE simulated network.
 template <typename Payload, typename NetT = SimNet<ErbMsg<Payload>>>
@@ -71,7 +72,6 @@ class ErbNode {
     net_.set_handler(self_, [this](ProcessId from, const Msg& m) {
       on_message(from, m);
     });
-    net_.set_timer_handler(self_, [this](std::uint64_t) { on_timer(); });
   }
 
   /// FIFO-broadcasts payload from this node; returns its sequence number.
@@ -145,7 +145,7 @@ class ErbNode {
   void arm_timer() {
     if (timer_armed_) return;
     timer_armed_ = true;
-    net_.set_timer(self_, kRetransmitEvery, 0);
+    net_.set_timer(self_, kRetransmitEvery, [this] { on_timer(); });
   }
 
   void on_message(ProcessId from, const Msg& m) {

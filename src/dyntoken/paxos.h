@@ -80,6 +80,8 @@ struct PaxosMsg {
 /// `NetT` defaults to the plain SimNet carrying PaxosMsg<Value>; the
 /// hybrid replica runtime substitutes a LaneNet (net/lane_mux.h) so the
 /// consensus lane shares one simulated network with the ERB fast lane.
+/// Either way set_timer takes the closure to run: each retry timer
+/// captures this engine and its instance.
 template <typename Value, typename NetT = SimNet<PaxosMsg<Value>>>
 class PaxosEngine {
  public:
@@ -98,8 +100,6 @@ class PaxosEngine {
     net_.set_handler(self_, [this](ProcessId from, const PaxosMsg<Value>& m) {
       on_message(from, m);
     });
-    net_.set_timer_handler(self_,
-                           [this](std::uint64_t id) { on_timer(id); });
   }
 
   /// Starts proposing `v` for `instance`.  The engine keeps retrying (with
@@ -206,7 +206,8 @@ class PaxosEngine {
     const auto group = groups_(instance);
     if (!group) {
       // Cannot resolve the group yet: retry after a delay.
-      net_.set_timer(self_, retry_delay_, instance);
+      net_.set_timer(self_, retry_delay_,
+                     [this, instance] { on_timer(instance); });
       return;
     }
     p.ballot = make_ballot(p.ballot / 256 + 1);
@@ -223,7 +224,7 @@ class PaxosEngine {
     // Re-arm the retry timer (randomized backoff defuses proposer duels).
     net_.set_timer(self_,
                    retry_delay_ + backoff_rng_.below(retry_delay_ + 1),
-                   instance);
+                   [this, instance] { on_timer(instance); });
   }
 
   void on_timer(InstanceId instance) {

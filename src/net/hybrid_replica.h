@@ -295,7 +295,7 @@ class HybridReplicaNode {
         // non-empty.  A size cut may empty the buffer first — then the
         // tick finds nothing and broadcasts nothing.
         fast_timer_armed_ = true;
-        net_.call_at(self_, kErbDeadline, [this] {
+        net_.set_timer(self_, kErbDeadline, [this] {
           fast_timer_armed_ = false;
           if (!fast_buf_.empty()) flush_fast();
         });

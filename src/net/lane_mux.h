@@ -6,28 +6,22 @@
 // Paxos-backed total-order broadcast (atbcast/total_order.h, the CN > 1
 // consensus lane) and — under compact relay (net/recover_on_miss.h) —
 // the op recovery lane side by side on the same cluster.  SimNet
-// carries ONE wire-message type and ONE handler/timer-handler per node,
-// so the protocol engines cannot all register directly.  This header
+// carries ONE wire-message type and ONE message handler per node, so
+// the protocol engines cannot all register directly.  This header
 // supplies the multiplexer:
 //
 //   * LaneMsg<Ls...> — the variant wire type: every message on the
 //     shared network is exactly one lane's message;
 //   * LaneNet<Sub, Base> — the per-node facade each engine binds to.  It
 //     presents exactly the SimNet surface the engines use (send,
-//     send_all, set_handler, set_timer, set_timer_handler, num_nodes,
-//     now, is_crashed), wrapping outgoing messages into the variant and
-//     tagging timers so all lanes can arm them independently.  A lane
-//     whose message type is auxiliary-class (is_aux_wire, common/wire.h)
-//     arms its timers through set_timer_aux, keeping relay timers out of
-//     the primary tie-break sequence;
+//     send_all, set_handler, set_timer, num_nodes, now, is_crashed),
+//     wrapping outgoing messages into the variant.  Timers are closures
+//     and need no routing back: a lane whose message type is
+//     auxiliary-class (is_aux_wire, common/wire.h) arms them through
+//     set_timer_aux, keeping relay timers out of the primary tie-break
+//     sequence;
 //   * LaneMux<Ls...> — owns the lane facades for one node and installs
-//     the real SimNet handler/timer-handler that dispatches on the
-//     variant alternative / the timer tag.
-//
-// Timer tagging: lane i's timers are registered on the base net with
-// id * N + i (N = number of lanes) and dispatched back with the original
-// id.  The engines use small ids (ERB uses 0, Paxos uses the slot
-// number), so the multiplication cannot overflow in any realistic run.
+//     the real SimNet handler that dispatches on the variant alternative.
 //
 // Fault semantics are untouched: drops, duplication, partitions and
 // crashes happen on the BASE net, so all lanes see the same network
@@ -53,17 +47,15 @@ namespace tokensync {
 template <typename... Ls>
 using LaneMsg = std::variant<Ls...>;
 
-/// Per-node, per-lane facade over the shared base net.  `lane` is this
-/// facade's tag (0-based) — it selects the variant alternative on send
-/// and the timer-id residue (mod `num_lanes`) on set_timer.
+/// Per-node, per-lane facade over the shared base net: `Sub` selects the
+/// variant alternative on send.
 template <typename Sub, typename Base>
 class LaneNet {
  public:
   using Handler = std::function<void(ProcessId from, const Sub&)>;
-  using TimerHandler = std::function<void(std::uint64_t timer_id)>;
+  using Callback = typename Base::Callback;
 
-  LaneNet(Base& base, std::uint8_t lane, std::uint8_t num_lanes)
-      : base_(base), lane_(lane), num_lanes_(num_lanes) {}
+  explicit LaneNet(Base& base) : base_(base) {}
 
   std::size_t num_nodes() const noexcept { return base_.num_nodes(); }
   std::uint64_t now() const noexcept { return base_.now(); }
@@ -75,30 +67,22 @@ class LaneNet {
   void send_all(ProcessId from, const Sub& m) {
     base_.send_all(from, wrap(m));
   }
-  void set_timer(ProcessId node, std::uint64_t delay,
-                 std::uint64_t timer_id) {
-    const std::uint64_t tagged = timer_id * num_lanes_ + lane_;
+  void set_timer(ProcessId node, std::uint64_t delay, Callback fn) {
     if constexpr (is_aux_wire_v<Sub>) {
-      base_.set_timer_aux(node, delay, tagged);
+      base_.set_timer_aux(node, delay, std::move(fn));
     } else {
-      base_.set_timer(node, delay, tagged);
+      base_.set_timer(node, delay, std::move(fn));
     }
   }
 
-  /// The engines register through these exactly as they would on a
-  /// SimNet; the mux's base handlers dispatch back through them.  The
+  /// The engines register through this exactly as they would on a
+  /// SimNet; the mux's base handler dispatches back through it.  The
   /// node argument is accepted for interface compatibility (a facade is
   /// per-node, so it is always the owner).
   void set_handler(ProcessId /*node*/, Handler h) { handler_ = std::move(h); }
-  void set_timer_handler(ProcessId /*node*/, TimerHandler h) {
-    timer_handler_ = std::move(h);
-  }
 
   void dispatch(ProcessId from, const Sub& m) const {
     if (handler_) handler_(from, m);
-  }
-  void dispatch_timer(std::uint64_t timer_id) const {
-    if (timer_handler_) timer_handler_(timer_id);
   }
 
  private:
@@ -107,10 +91,7 @@ class LaneNet {
   }
 
   Base& base_;
-  std::uint8_t lane_;
-  std::uint8_t num_lanes_;
   Handler handler_;
-  TimerHandler timer_handler_;
 };
 
 /// One node's set of lane facades plus the base-net dispatch glue.
@@ -136,13 +117,9 @@ class BasicLaneMux {
   using NetA = LaneT<0>;
   using NetB = LaneT<1>;
 
-  BasicLaneMux(Net& net, ProcessId self)
-      : lanes_(make_lanes(net, std::index_sequence_for<Ls...>{})) {
+  BasicLaneMux(Net& net, ProcessId self) : lanes_(LaneNet<Ls, Net>(net)...) {
     net.set_handler(self, [this](ProcessId from, const Msg& m) {
       dispatch_msg(from, m, std::index_sequence_for<Ls...>{});
-    });
-    net.set_timer_handler(self, [this](std::uint64_t id) {
-      dispatch_timer(id, std::index_sequence_for<Ls...>{});
     });
   }
 
@@ -158,26 +135,11 @@ class BasicLaneMux {
 
  private:
   template <std::size_t... Is>
-  static std::tuple<LaneNet<Ls, Net>...> make_lanes(
-      Net& net, std::index_sequence<Is...>) {
-    return std::tuple<LaneNet<Ls, Net>...>{LaneNet<Ls, Net>(
-        net, static_cast<std::uint8_t>(Is),
-        static_cast<std::uint8_t>(kLanes))...};
-  }
-
-  template <std::size_t... Is>
   void dispatch_msg(ProcessId from, const Msg& m,
                     std::index_sequence<Is...>) {
     ((m.index() == Is
           ? std::get<Is>(lanes_).dispatch(from, *std::get_if<Is>(&m))
           : void(0)),
-     ...);
-  }
-
-  template <std::size_t... Is>
-  void dispatch_timer(std::uint64_t id, std::index_sequence<Is...>) {
-    ((id % kLanes == Is ? std::get<Is>(lanes_).dispatch_timer(id / kLanes)
-                        : void(0)),
      ...);
   }
 

@@ -366,8 +366,8 @@ class MultiProposerNode {
     propose_timer_pending_ = true;
     propose_timer_at_ = at;
     const std::uint64_t gen = ++propose_gen_;
-    net_.call_at(self_, propose_delay(),
-                 [this, gen] { on_propose_timer(gen); });
+    net_.set_timer(self_, propose_delay(),
+                   [this, gen] { on_propose_timer(gen); });
   }
 
   void on_propose_timer(std::uint64_t gen) {

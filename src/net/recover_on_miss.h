@@ -117,7 +117,6 @@ class PayloadExchange {
     net_.set_handler(self_, [this](ProcessId from, const Msg& m) {
       on_message(from, m);
     });
-    net_.set_timer_handler(self_, [this](std::uint64_t) { on_timer(); });
   }
 
   /// This replica's own `items`: stored (to serve kGet and to
@@ -247,7 +246,7 @@ class PayloadExchange {
   void arm_timer() {
     if (timer_armed_) return;
     timer_armed_ = true;
-    net_.set_timer(self_, kRetryDelay, 0);
+    net_.set_timer(self_, kRetryDelay, [this] { on_timer(); });
   }
 
   NetT& net_;

@@ -157,7 +157,6 @@ class RecoveryEndpoint {
     net_.set_handler(self_, [this](ProcessId from, const Msg& m) {
       on_message(from, m);
     });
-    net_.set_timer_handler(self_, [this](std::uint64_t) { on_timer(); });
   }
 
   // --- snapshot retention + the mark lattice ---
@@ -264,7 +263,7 @@ class RecoveryEndpoint {
   void arm_timer() {
     if (timer_armed_) return;
     timer_armed_ = true;
-    net_.set_timer(self_, kRetryDelay, 0);
+    net_.set_timer(self_, kRetryDelay, [this] { on_timer(); });
   }
 
   void on_timer() {

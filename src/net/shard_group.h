@@ -20,10 +20,7 @@
 // forwards to the inner message, so a group's relay/recovery lanes keep
 // drawing from the auxiliary randomness stream and the per-group
 // consensus schedules stay primary-class — the same two-class argument
-// as §12.4, now per group.  Timer ids compose the same way the LaneMux
-// tags compose: lane tagging (id·L + lane) happens first, group tagging
-// (id·G + g) second, so every (group, lane, engine-id) triple owns a
-// distinct base-net timer.
+// as §12.4, now per group.
 //
 // Ownership and routing.  Account a starts in group a mod G.  Each node
 // keeps a local route map updated from COMMITTED migration records, so
@@ -80,7 +77,7 @@
 // runtime never installs a snapshot, so every record the block did not
 // name still holds the stage the driver last reacted to.  Visiting the
 // named txids in ascending order reproduces the reactions — and the
-// call_at sequence — of a walk over every record, at a cost that
+// timer sequence — of a walk over every record, at a cost that
 // follows the block instead of the keyspace.  ShardAudit's
 // reactions_complete re-checks that invariant over every record at the
 // end of each audited run.
@@ -134,8 +131,8 @@ bool is_aux_msg(const GroupMsg<Sub>& m) {
 
 /// Per-node, per-group facade presenting the SimNet surface with
 /// `MsgType = Sub`; a whole BasicLaneMux lane stack binds to it exactly
-/// as it would to a SimNet.  Sends wrap with the group tag; timers tag
-/// id·G + g (after the mux's own lane tagging).
+/// as it would to a SimNet.  Sends wrap with the group tag; timers are
+/// closures and go to the base net as they are.
 template <typename Sub>
 class GroupNet {
  public:
@@ -143,10 +140,9 @@ class GroupNet {
   using Wire = GroupMsg<Sub>;
   using Base = SimNet<Wire>;
   using Handler = std::function<void(ProcessId from, const Sub&)>;
-  using TimerHandler = std::function<void(std::uint64_t timer_id)>;
+  using Callback = typename Base::Callback;
 
-  GroupNet(Base& base, std::uint32_t group, std::uint32_t num_groups)
-      : base_(base), group_(group), num_groups_(num_groups) {}
+  GroupNet(Base& base, std::uint32_t group) : base_(base), group_(group) {}
 
   std::size_t num_nodes() const noexcept { return base_.num_nodes(); }
   std::uint64_t now() const noexcept { return base_.now(); }
@@ -158,33 +154,23 @@ class GroupNet {
   void send_all(ProcessId from, const Sub& m) {
     base_.send_all(from, Wire{group_, m});
   }
-  void set_timer(ProcessId node, std::uint64_t delay,
-                 std::uint64_t timer_id) {
-    base_.set_timer(node, delay, timer_id * num_groups_ + group_);
+  void set_timer(ProcessId node, std::uint64_t delay, Callback fn) {
+    base_.set_timer(node, delay, std::move(fn));
   }
-  void set_timer_aux(ProcessId node, std::uint64_t delay,
-                     std::uint64_t timer_id) {
-    base_.set_timer_aux(node, delay, timer_id * num_groups_ + group_);
+  void set_timer_aux(ProcessId node, std::uint64_t delay, Callback fn) {
+    base_.set_timer_aux(node, delay, std::move(fn));
   }
 
   void set_handler(ProcessId /*node*/, Handler h) { handler_ = std::move(h); }
-  void set_timer_handler(ProcessId /*node*/, TimerHandler h) {
-    timer_handler_ = std::move(h);
-  }
 
   void dispatch(ProcessId from, const Sub& m) const {
     if (handler_) handler_(from, m);
-  }
-  void dispatch_timer(std::uint64_t timer_id) const {
-    if (timer_handler_) timer_handler_(timer_id);
   }
 
  private:
   Base& base_;
   std::uint32_t group_;
-  std::uint32_t num_groups_;
   Handler handler_;
-  TimerHandler timer_handler_;
 };
 
 /// One node's group facades plus the base-net dispatch glue (the group
@@ -201,14 +187,10 @@ class ShardGroupMux {
     TS_EXPECTS(num_groups >= 1);
     groups_.reserve(num_groups);
     for (std::uint32_t g = 0; g < num_groups; ++g) {
-      groups_.push_back(std::make_unique<Group>(net, g, num_groups));
+      groups_.push_back(std::make_unique<Group>(net, g));
     }
     net.set_handler(self, [this](ProcessId from, const Msg& m) {
       if (m.group < groups_.size()) groups_[m.group]->dispatch(from, m.inner);
-    });
-    net.set_timer_handler(self, [this](std::uint64_t id) {
-      const std::uint64_t g = id % groups_.size();
-      groups_[g]->dispatch_timer(id / groups_.size());
     });
   }
 
@@ -1000,11 +982,11 @@ class ShardedReplicaNode {
                           ShardOp op) {
     const std::uint64_t n = net_.num_nodes();
     const std::uint64_t rank = (self_ + n - coordinator % n) % n;
-    net_.call_at(self_, kReactDelay + kBackupStagger * rank,
-                 [this, target, op] {
-                   if (follow_up_resolved(target, op)) return;
-                   groups_.at(target)->submit(self_, op);
-                 });
+    net_.set_timer(self_, kReactDelay + kBackupStagger * rank,
+                   [this, target, op] {
+                     if (follow_up_resolved(target, op)) return;
+                     groups_.at(target)->submit(self_, op);
+                   });
   }
 
   /// Backup-timer check: has some replica's earlier follow-up already

@@ -32,12 +32,14 @@
 //
 // Fault schedules are ordinary events: schedule(delay, fn) runs fn at a
 // simulated time regardless of node state (the "adversary's hand" —
-// scenario drivers use it to flip partitions and crash replicas), while
-// call_at(node, delay, fn) is a node-local callback that dies with the
-// node (client drivers use it to submit operations over time).
+// scenario drivers use it to flip partitions and crash replicas).  Node
+// callbacks are skipped while their node is crashed: a call_at or
+// script_at entry (a client submitting over time) runs on any later
+// incarnation, while a set_timer closure (a protocol engine's timer,
+// capturing the engine) dies at the node's next restart.
 //
 // Two event sources feed step().  The event heap holds what is in
-// flight: messages, timers, control events and every callback scheduled
+// flight: messages, control events and every node callback scheduled
 // while the run is going.  The client script — node-local callbacks
 // registered with script_at before the first step — waits beside it in
 // one vector sorted once by (time, tie), so a script of tens of
@@ -97,7 +99,6 @@ class SimNet {
  public:
   using MsgType = Msg;
   using Handler = std::function<void(ProcessId from, const Msg&)>;
-  using TimerHandler = std::function<void(std::uint64_t timer_id)>;
   using Callback = std::function<void()>;
   /// Returns true iff the link from->to is currently up (checked at send
   /// time, after the partition check).
@@ -107,7 +108,7 @@ class SimNet {
   SimNet(std::size_t n, NetConfig cfg)
       : cfg_(cfg), rng_(cfg.seed),
         aux_rng_(cfg.seed ^ 0x9e3779b97f4a7c15ull), handlers_(n),
-        timer_handlers_(n), crashed_(n, false) {}
+        crashed_(n, false), incarnation_(n, 0) {}
 
   std::size_t num_nodes() const noexcept { return handlers_.size(); }
   std::uint64_t now() const noexcept { return now_; }
@@ -115,9 +116,6 @@ class SimNet {
 
   void set_handler(ProcessId node, Handler h) {
     handlers_.at(node) = std::move(h);
-  }
-  void set_timer_handler(ProcessId node, TimerHandler h) {
-    timer_handlers_.at(node) = std::move(h);
   }
   void set_link_filter(LinkFilter f) { link_filter_ = std::move(f); }
 
@@ -149,13 +147,15 @@ class SimNet {
   bool is_crashed(ProcessId node) const { return crashed_.at(node); }
 
   /// Crash-RECOVER extension of the crash-stop model: the node may send
-  /// and receive again from now on.  Everything scheduled while it was
-  /// down is already gone (messages TO it were dropped at delivery time,
-  /// its kCall/kTimer events were discarded at fire time), so a restarted
-  /// node comes back with an empty inbox — the recovery subsystem
-  /// (net/recovery.h) is responsible for rebuilding its state from a
-  /// snapshot plus the retained log suffix.
-  void restart(ProcessId node) { crashed_.at(node) = false; }
+  /// and receive again from now on, as a new incarnation.  Messages TO it
+  /// were dropped while it was down and its earlier incarnations' timers
+  /// never fire, so it comes back with an empty inbox and no timers — the
+  /// recovery subsystem (net/recovery.h) is responsible for rebuilding
+  /// its state from a snapshot plus the retained log suffix.
+  void restart(ProcessId node) {
+    crashed_.at(node) = false;
+    ++incarnation_[node];
+  }
 
   /// Partitions the network into the given groups: a link is up iff both
   /// endpoints are in the same group.  Nodes not listed in any group end
@@ -231,31 +231,25 @@ class SimNet {
     for (ProcessId to = 0; to < num_nodes(); ++to) send(from, to, m);
   }
 
-  /// Schedules a timer callback at now + delay, dispatched through the
-  /// node's timer handler with `timer_id` (legacy protocol-engine path).
-  void set_timer(ProcessId node, std::uint64_t delay,
-                 std::uint64_t timer_id) {
-    push_event(Event{now_ + delay, next_tie(false), Event::kTimer, node,
-                     node, Msg{}, timer_id, {}});
+  /// Arms a protocol timer: fn runs at now + delay on `node` unless the
+  /// node is crashed then or has been restarted since (file comment).
+  void set_timer(ProcessId node, std::uint64_t delay, Callback fn) {
+    push_node_event(node, delay, false, incarnation_.at(node), std::move(fn));
   }
 
   /// set_timer for auxiliary-class protocol engines (relay recovery):
   /// identical semantics, but the event draws its tie-break from the aux
-  /// sequence so arming/cancelling it cannot reorder primary events.
-  void set_timer_aux(ProcessId node, std::uint64_t delay,
-                     std::uint64_t timer_id) {
-    push_event(Event{now_ + delay, next_tie(true), Event::kTimer, node,
-                     node, Msg{}, timer_id, {}});
+  /// sequence so arming it cannot reorder primary events.
+  void set_timer_aux(ProcessId node, std::uint64_t delay, Callback fn) {
+    push_node_event(node, delay, true, incarnation_.at(node), std::move(fn));
   }
 
-  /// Schedules fn at now + delay on `node`; silently dropped if the node
-  /// has crashed by then.  Unlike set_timer, each call carries its own
-  /// callback, so protocol engines and client drivers can coexist on one
-  /// node without sharing the timer handler.
+  /// Schedules a client or driver callback at now + delay on `node`;
+  /// silently dropped if the node is crashed by then, but run on a node
+  /// restarted since.
   void call_at(ProcessId node, std::uint64_t delay, Callback fn) {
     TS_EXPECTS(node < num_nodes());
-    push_event(Event{now_ + delay, next_tie(false), Event::kCall, node,
-                     node, Msg{}, 0, std::move(fn)});
+    push_node_event(node, delay, false, kAnyIncarnation, std::move(fn));
   }
 
   /// Registers fn at now + delay on `node` in the client script: call_at's
@@ -297,12 +291,10 @@ class SimNet {
       case Event::kControl:
         e.fn();
         return true;
-      case Event::kCall:
-        if (!crashed_[e.to]) e.fn();
-        return true;
-      case Event::kTimer:
-        if (!crashed_[e.to] && timer_handlers_[e.to]) {
-          timer_handlers_[e.to](e.timer_id);
+      case Event::kNode:
+        if (!crashed_[e.to] && (e.incarnation == kAnyIncarnation ||
+                                e.incarnation == incarnation_[e.to])) {
+          e.fn();
         }
         return true;
       case Event::kMsg:
@@ -334,9 +326,11 @@ class SimNet {
 
  private:
   static constexpr std::uint32_t kIsolated = 0xffffffffu;
+  /// A call_at entry's incarnation: any incarnation of its node runs it.
+  static constexpr std::uint64_t kAnyIncarnation = ~std::uint64_t{0};
 
   struct Event {
-    enum Kind : std::uint8_t { kMsg, kTimer, kCall, kControl };
+    enum Kind : std::uint8_t { kMsg, kNode, kControl };
 
     std::uint64_t time;
     std::uint64_t tie;  // FIFO tiebreak for equal timestamps
@@ -344,7 +338,7 @@ class SimNet {
     ProcessId from;
     ProcessId to;
     Msg msg;
-    std::uint64_t timer_id;
+    std::uint64_t incarnation;  // kNode: the arming incarnation, or any
     Callback fn;
   };
   /// What the heap orders: an event's (time, tie) and its slab slot (in
@@ -414,6 +408,12 @@ class SimNet {
     queue_.push(Key{slab_[slot].time, slab_[slot].tie, slot});
   }
 
+  void push_node_event(ProcessId node, std::uint64_t delay, bool aux,
+                       std::uint64_t incarnation, Callback fn) {
+    push_event(Event{now_ + delay, next_tie(aux), Event::kNode, node, node,
+                     Msg{}, incarnation, std::move(fn)});
+  }
+
   void push_message(ProcessId from, ProcessId to, Msg m, bool aux) {
     std::uint64_t lo = cfg_.min_delay, hi = cfg_.max_delay;
     if (!link_delay_.empty()) {
@@ -442,8 +442,8 @@ class SimNet {
   std::uint64_t pri_tie_ = 0;
   std::uint64_t aux_tie_ = 0;
   std::vector<Handler> handlers_;
-  std::vector<TimerHandler> timer_handlers_;
   std::vector<bool> crashed_;
+  std::vector<std::uint64_t> incarnation_;  // restarts so far, per node
   LinkFilter link_filter_;
   std::map<ProcessId, Forker> equivocators_;
   std::vector<std::uint32_t> group_of_;  // empty = no partition

@@ -244,7 +244,8 @@ using ShardCluster = ClusterHarness<ShardedReplicaNode>;
 /// net-level events cannot reconstruct a node).  The new instance starts
 /// from the INITIAL state with RecoveryConfig::recover set, so its first
 /// act is fetching a snapshot and catching up the log suffix; the old
-/// instance's undecided proposals die with it.
+/// instance's undecided proposals die with it, and so do its pending
+/// timers (SimNet::restart starts a new incarnation).
 template <typename Spec>
 void arm_crash_rejoin(BlockCluster<Spec>& h,
                       const typename Spec::SeqState& initial) {

@@ -441,6 +441,27 @@ TEST(RecoveryEdge, RejoinInsideActivePartitionHealsAfter) {
   EXPECT_EQ(*want, rj.installed_snapshot_hash());
 }
 
+// Rebuild before the crashed incarnation's timers fire: replica 3
+// crashes at 44 with Paxos retry timers pending and is rebuilt at 50,
+// before they are due.  They belong to the destroyed engines, so they
+// must never fire; the rebuilt replica recovers on its own timers.
+TEST(RecoveryEdge, RebuildBeforeTheCrashedIncarnationsTimersFire) {
+  RecoveryConfig rcfg;
+  rcfg.snapshot_interval = 2;
+  Cluster c(rcfg);
+  for (ProcessId p = 0; p < 3; ++p) c.drip(p, 5, 200, 7);
+  c.drip(3, 5, 40, 7);
+  c.deadlines(400);
+  c.net.schedule(44, [&c] { c.net.crash(3); });
+  c.net.schedule(50, [&c] { c.rejoin(3); });
+  c.drain();
+
+  const Node& rj = *c.nodes[3];
+  EXPECT_FALSE(rj.recovering());
+  EXPECT_TRUE(rj.all_settled());
+  expect_suffix_audits_agree(rj, *c.nodes[0]);
+}
+
 // Cuts after an install: a cut's applied-id list is the newest retained
 // snapshot's list merged with the ids applied since, and on a rejoiner
 // that base is the INSTALLED snapshot.  Every boundary the rejoiner cuts

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -428,8 +429,8 @@ TEST(ScenarioDrain, ExhaustedBudgetIsReportedAsNonQuiescent) {
   // A timer that re-arms forever never lets the queue empty; the drain
   // must say so, and the report must carry it as a violation.
   SimNet<int> net(1, NetConfig{});
-  net.set_timer_handler(0, [&net](std::uint64_t) { net.set_timer(0, 1, 0); });
-  net.set_timer(0, 1, 0);
+  std::function<void()> rearm = [&net, &rearm] { net.set_timer(0, 1, rearm); };
+  net.set_timer(0, 1, rearm);
   ScenarioReport rep;
   note_quiescence(rep, drain_to_convergence(net, nullptr, 100, 2));
   EXPECT_FALSE(rep.ok());
@@ -437,7 +438,7 @@ TEST(ScenarioDrain, ExhaustedBudgetIsReportedAsNonQuiescent) {
             std::vector<std::string>{"non-quiescent: event budget exhausted"});
 
   SimNet<int> quiet(1, NetConfig{});
-  quiet.set_timer(0, 5, 0);
+  quiet.set_timer(0, 5, [] {});
   ScenarioReport clean;
   note_quiescence(clean, drain_to_convergence(quiet, nullptr, 100, 2));
   EXPECT_TRUE(clean.violations.empty());

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -77,14 +78,37 @@ TEST(SimNet, PartitionFilterBlocksLinks) {
 TEST(SimNet, TimersFireAtRequestedDelay) {
   SimNet<Ping> net(1, NetConfig{});
   std::vector<std::uint64_t> fired;
-  net.set_timer_handler(0, [&](std::uint64_t id) {
-    fired.push_back(id);
-    EXPECT_EQ(net.now(), 10 * (id + 1));
-  });
-  net.set_timer(0, 10, 0);
-  net.set_timer(0, 20, 1);
+  for (const std::uint64_t id : {0, 1}) {
+    net.set_timer(0, 10 * (id + 1), [&net, &fired, id] {
+      fired.push_back(id);
+      EXPECT_EQ(net.now(), 10 * (id + 1));
+    });
+  }
   net.run();
   EXPECT_EQ(fired, (std::vector<std::uint64_t>{0, 1}));
+}
+
+TEST(SimNet, TimersOfAnEarlierIncarnationNeverFire) {
+  // Node 0 crashes at 5 and restarts at 10.  Its timers armed before the
+  // crash and due at 20 die with the incarnation that armed them; client
+  // entries due at 20 (call_at, script_at) and a timer armed after the
+  // restart run.
+  SimNet<Ping> net(1, NetConfig{});
+  std::string fired;
+  const auto note = [&fired](char what) {
+    return [&fired, what] { fired.push_back(what); };
+  };
+  net.set_timer(0, 20, note('t'));
+  net.set_timer_aux(0, 20, note('x'));
+  net.call_at(0, 20, note('c'));
+  net.script_at(0, 20, note('s'));
+  net.schedule(5, [&net] { net.crash(0); });
+  net.schedule(10, [&net, &note] {
+    net.restart(0);
+    net.set_timer(0, 10, note('n'));
+  });
+  EXPECT_EQ(net.run(), 7u);
+  EXPECT_EQ(fired, "csn");
 }
 
 TEST(SimNet, DeterministicPerSeed) {
@@ -170,14 +194,16 @@ TEST(SimNet, EqualTimePrimaryAndAuxEventsPopInTieOrder) {
   // push order; at equal time the smaller tie pops first.
   SimNet<Ping> net(1, NetConfig{});
   std::vector<std::uint64_t> fired;
-  net.set_timer_handler(0, [&](std::uint64_t id) { fired.push_back(id); });
-  net.set_timer(0, 5, 0);      // tie 0
-  net.set_timer(0, 5, 1);      // tie 2
-  net.set_timer_aux(0, 5, 2);  // tie 1
-  net.set_timer(0, 5, 3);      // tie 4
-  net.set_timer_aux(0, 5, 4);  // tie 3
-  net.set_timer_aux(0, 5, 5);  // tie 5
-  net.set_timer(0, 3, 6);      // earlier time wins over any tie
+  const auto note = [&fired](std::uint64_t id) {
+    return [&fired, id] { fired.push_back(id); };
+  };
+  net.set_timer(0, 5, note(0));      // tie 0
+  net.set_timer(0, 5, note(1));      // tie 2
+  net.set_timer_aux(0, 5, note(2));  // tie 1
+  net.set_timer(0, 5, note(3));      // tie 4
+  net.set_timer_aux(0, 5, note(4));  // tie 3
+  net.set_timer_aux(0, 5, note(5));  // tie 5
+  net.set_timer(0, 3, note(6));      // earlier time wins over any tie
   net.run();
   EXPECT_EQ(fired, (std::vector<std::uint64_t>{6, 0, 2, 1, 4, 3, 5}));
 }
@@ -208,22 +234,25 @@ std::pair<std::vector<Fired>, std::vector<std::uint64_t>> mixed_run(
         net.send(p, (p + 1) % kN, Ping{m.id + 1});
       }
     });
-    net.set_timer_handler(p, [&net, &fired, p](std::uint64_t id) {
+  }
+  const auto timer = [&net, &fired](ProcessId p, std::uint64_t id) {
+    return [&net, &fired, p, id] {
       fired.emplace_back('t', p, id, net.now());
       if (id % 4 == 0) net.send(p, (p + 2) % kN, Ping{static_cast<int>(id)});
-    });
-  }
+    };
+  };
   Rng rng(5);
   for (int i = 0; i < 300; ++i) {
     if (i == 100) net.schedule(40, [&net] { net.crash(2); });
     if (i == 200) net.schedule(90, [&net] { net.restart(2); });
     const auto node = static_cast<ProcessId>(rng.below(kN));
     const std::uint64_t t = rng.range(0, 150);
-    auto fn = [&net, &fired, node, i] {
+    auto fn = [&net, &fired, &timer, node, i] {
       fired.emplace_back('c', node, i, net.now());
       net.send(node, (node + 1) % kN, Ping{3 * i});
-      net.set_timer(node, 3, 2 * static_cast<std::uint64_t>(i));
-      net.set_timer_aux(node, 3, 2 * static_cast<std::uint64_t>(i) + 1);
+      const auto id = 2 * static_cast<std::uint64_t>(i);
+      net.set_timer(node, 3, timer(node, id));
+      net.set_timer_aux(node, 3, timer(node, id + 1));
       if (i % 7 == 0) {
         net.call_at(node, 2, [&net, &fired, node, i] {
           fired.emplace_back('a', node, i, net.now());
