@@ -16,30 +16,21 @@
 //   * applied_ids      — the OpIds applied in slots < B (sorted), the
 //                        double-submit dedup set a rejoiner must carry
 //                        forward so a client resubmission of an already
-//                        committed op cannot apply twice;
-//   * pool_residue     — this replica's UN-CUT TxPool tail.  Local-only
-//                        annex: it rides the byte encoding (a replica
-//                        restoring its own snapshot wants its intake
-//                        back) but is EXCLUDED from content_hash() and
-//                        never installed from a peer's snapshot — a
-//                        peer's intake is not ours to propose.
+//                        committed op cannot apply twice.
 //
 // Every replica cutting at the same boundary therefore produces the
-// same replicated core — content_hash() equality across replicas IS the
-// snapshot correctness check the recovery tests assert — while the
-// annex may differ per replica.
+// same snapshot — content_hash() equality across replicas IS the
+// snapshot correctness check the recovery tests assert.
 //
 // Serialization is a flat little-endian byte stream via ByteWriter /
 // ByteReader; per-spec state encoding is the StateCodec<State>
 // customization point (specialized for the token family in
-// exec/exec_specs.h).  The content hash is FNV-1a over the replicated
-// core's encoding, so "same hash" means "same bytes" means "same cut".
+// exec/exec_specs.h).  The content hash is FNV-1a over the encoding, so
+// "same hash" means "same bytes" means "same cut".
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
-#include <type_traits>
 #include <vector>
 
 #include "atomic/ledger.h"
@@ -58,12 +49,7 @@ class ByteWriter {
   void u64(std::uint64_t v) {
     for (int i = 0; i < 8; ++i) out_.push_back((v >> (8 * i)) & 0xff);
   }
-  void raw(const void* p, std::size_t n) {
-    const auto* b = static_cast<const std::uint8_t*>(p);
-    out_.insert(out_.end(), b, b + n);
-  }
 
-  const std::vector<std::uint8_t>& bytes() const noexcept { return out_; }
   std::vector<std::uint8_t> take() { return std::move(out_); }
 
  private:
@@ -97,11 +83,6 @@ class ByteReader {
     }
     return v;
   }
-  void raw(void* p, std::size_t n) {
-    TS_EXPECTS(pos_ + n <= in_.size());
-    std::memcpy(p, in_.data() + pos_, n);
-    pos_ += n;
-  }
   bool exhausted() const noexcept { return pos_ == in_.size(); }
 
  private:
@@ -119,30 +100,23 @@ struct StateCodec;
 template <ConcurrentTokenSpec S>
 struct Snapshot {
   using SeqState = typename S::SeqState;
-  using BatchOp = typename ConcurrentLedger<S>::BatchOp;
-  using Tagged = TaggedOp<BatchOp>;
-  using Op = typename S::Op;
-  static_assert(std::is_trivially_copyable_v<Op>,
-                "pool-residue ops encode as raw bytes");
 
   std::uint64_t next_slot = 0;
   SeqState state{};
   std::vector<std::uint64_t> origin_frontier;
   std::vector<OpId> applied_ids;  ///< sorted (canonical encoding)
-  std::vector<Tagged> pool_residue;  ///< local annex (file comment)
 
   friend bool operator==(const Snapshot&, const Snapshot&) = default;
 
   std::vector<std::uint8_t> serialize() const {
     ByteWriter w;
-    encode_core(w);
-    // Local annex: intake ids + signed op payloads, raw.
-    w.u64(pool_residue.size());
-    for (const Tagged& t : pool_residue) {
-      w.u64(t.id);
-      w.u32(t.op.caller);
-      w.raw(&t.op.op, sizeof(Op));
-    }
+    w.u64(next_slot);
+    StateCodec<SeqState>::encode(w, state);
+    w.u64(origin_frontier.size());
+    for (std::uint64_t f : origin_frontier) w.u64(f);
+    TS_EXPECTS(std::is_sorted(applied_ids.begin(), applied_ids.end()));
+    w.u64(applied_ids.size());
+    for (OpId id : applied_ids) w.u64(id);
     return w.take();
   }
 
@@ -155,39 +129,19 @@ struct Snapshot {
     for (auto& f : s.origin_frontier) f = r.u64();
     s.applied_ids.resize(r.u64());
     for (auto& id : s.applied_ids) id = r.u64();
-    s.pool_residue.resize(r.u64());
-    for (Tagged& t : s.pool_residue) {
-      t.id = r.u64();
-      t.op.caller = r.u32();
-      r.raw(&t.op.op, sizeof(Op));
-    }
     TS_EXPECTS(r.exhausted());
     return s;
   }
 
-  /// FNV-1a over the replicated core's encoding: equal across replicas
-  /// that cut the same boundary of the same committed prefix, and
-  /// deliberately blind to the pool-residue annex.
+  /// FNV-1a over the encoding: equal across replicas that cut the same
+  /// boundary of the same committed prefix.
   std::uint64_t content_hash() const {
-    ByteWriter w;
-    encode_core(w);
     std::uint64_t h = 1469598103934665603ull;
-    for (std::uint8_t b : w.bytes()) {
+    for (std::uint8_t b : serialize()) {
       h ^= b;
       h *= 1099511628211ull;
     }
     return h;
-  }
-
- private:
-  void encode_core(ByteWriter& w) const {
-    w.u64(next_slot);
-    StateCodec<SeqState>::encode(w, state);
-    w.u64(origin_frontier.size());
-    for (std::uint64_t f : origin_frontier) w.u64(f);
-    TS_EXPECTS(std::is_sorted(applied_ids.begin(), applied_ids.end()));
-    w.u64(applied_ids.size());
-    for (OpId id : applied_ids) w.u64(id);
   }
 };
 

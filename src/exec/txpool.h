@@ -99,18 +99,6 @@ class TxPool {
     return {first, first + n};
   }
 
-  /// Copy of the un-drained tail in submission order — the pool residue
-  /// a snapshot carries (exec/snapshot.h) so a replica restoring its own
-  /// cut gets its intake back.  Note the dedup split: this pool rejects
-  /// re-submission of any id it has ever SEEN, while dedup against ids
-  /// already APPLIED by the replicated history — the ids a restarted
-  /// pool has never seen — lives in the replica runtime
-  /// (net/block_replica.h applied-id filter).
-  std::vector<Tagged> peek_tagged() const {
-    const std::scoped_lock lk(mu_);
-    return {ops_.values().begin() + drained_, ops_.values().end()};
-  }
-
   std::size_t pending() const {
     const std::scoped_lock lk(mu_);
     return ops_.size() - drained_;

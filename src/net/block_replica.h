@@ -474,7 +474,6 @@ class BlockReplicaNode {
     snap.state = engine_->ledger().snapshot();
     snap.origin_frontier = std::move(frontier);
     snap.applied_ids = merge_applied_delta();
-    snap.pool_residue = pool_.peek_tagged();
     recovery_.store().add(std::move(snap));
     recovery_.mark(next_slot);
     if (rcfg_.prune) tob_.truncate_below(recovery_.prune_floor());
@@ -512,8 +511,7 @@ class BlockReplicaNode {
   /// rejoin-with-stale-snapshot variant) be superseded by a fresher one
   /// as long as no suffix slot has been replayed on top of it.  The
   /// reply's frontier (max-merged across replies) is the catch-up
-  /// target; reaching it ends recovery.  A peer's pool residue is its
-  /// LOCAL annex and is deliberately not adopted.
+  /// target; reaching it ends recovery.
   void on_snap_reply(bool has, const std::vector<std::uint8_t>& bytes,
                      std::uint64_t frontier) {
     if (!recovering_) {

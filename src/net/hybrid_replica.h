@@ -414,8 +414,8 @@ class HybridReplicaNode {
   /// The replica's image after finalize(), as a Snapshot<S> (exec/
   /// snapshot.h): the boundary is one past the last applied barrier
   /// label, the frontier is the per-origin ERB batch frontier, and the
-  /// applied-id / pool-residue fields are empty (the hybrid lanes have
-  /// no block-replica intake identity).  Two correct replicas that
+  /// applied-id list is empty (the hybrid lanes have no block-replica
+  /// intake identity).  Two correct replicas that
   /// converged and finalized hold snapshots with EQUAL content hashes —
   /// the hash-based state-agreement check the recovery tests reuse
   /// across runtimes.

@@ -171,11 +171,11 @@ const char* const kPinned[] = {
     "erc20_zipfian_shards/lossy_dup 9016573088167598667 72 19 1094 1101 199344 19 854 10232 0",
     "erc20_zipfian_shards/partition_heal 1563917278763477149 72 19 1111 945 211640 19 850 10232 0",
     "erc20_zipfian_shards/minority_crash 10875705470906107938 57 15 756 570 111080 14 522 8100 0",
-    "erc20_block_storm/crash_rejoin/fresh 1697053176164205828 57 15 2020 1152 192364 14 1358 7188 0",
-    "erc20_block_storm/crash_rejoin/stale 1697053176164205828 57 15 2017 1266 239096 14 1261 7188 0",
-    "mixed_block_escalate/crash_rejoin/fresh 3882550650531159328 56 16 2016 1189 181896 15 1360 7072 0",
-    "mixed_block_escalate/crash_rejoin/stale 3882550650531159328 56 16 2019 1305 214696 15 1261 7072 0",
-    "erc20_block_storm/crash_rejoin/fresh/compact 1697053176164205828 57 15 2017 1365 162116 14 1177 756 11",
+    "erc20_block_storm/crash_rejoin/fresh 1697053176164205828 57 15 2020 1152 192356 14 1358 7188 0",
+    "erc20_block_storm/crash_rejoin/stale 1697053176164205828 57 15 2017 1266 239032 14 1261 7188 0",
+    "mixed_block_escalate/crash_rejoin/fresh 3882550650531159328 56 16 2016 1189 181888 15 1360 7072 0",
+    "mixed_block_escalate/crash_rejoin/stale 3882550650531159328 56 16 2019 1305 214632 15 1261 7072 0",
+    "erc20_block_storm/crash_rejoin/fresh/compact 1697053176164205828 57 15 2017 1365 162028 14 1177 756 11",
     "erc20_respend_storm/byzantine_equivocate 10743346445938458034 55 0 225 5142 908940 55 30 0 0",
     "erc20_multiproposer_storm/lossy_dup/p4 1893969325025421860 96 7 527 597 100808 96 202 532 8",
     "erc20_multiproposer_storm/partition_heal/p4 1073707654876798748 96 5 977 511 110524 96 767 508 6",
