@@ -415,10 +415,9 @@ class HybridReplicaNode {
   /// snapshot.h): the boundary is one past the last applied barrier
   /// label, the frontier is the per-origin ERB batch frontier, and the
   /// applied-id list is empty (the hybrid lanes have no block-replica
-  /// intake identity).  Two correct replicas that
-  /// converged and finalized hold snapshots with EQUAL content hashes —
-  /// the hash-based state-agreement check the recovery tests reuse
-  /// across runtimes.
+  /// intake identity).  Two correct replicas that converged and
+  /// finalized hold snapshots with EQUAL content hashes — the hash-based
+  /// state-agreement check the recovery tests reuse across runtimes.
   Snapshot<S> terminal_snapshot() const {
     Snapshot<S> snap;
     snap.next_slot =
