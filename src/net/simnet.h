@@ -32,7 +32,7 @@
 //
 // Fault schedules are ordinary events: schedule(delay, fn) runs fn at a
 // simulated time regardless of node state (the "adversary's hand" —
-// scenario drivers use it to flip partitions and crash replicas).  Node
+// scenarios use it to flip partitions and crash replicas).  Node
 // callbacks are skipped while their node is crashed: a call_at or
 // script_at entry (a client submitting over time) runs on any later
 // incarnation, while a set_timer closure (a protocol engine's timer,
@@ -244,9 +244,9 @@ class SimNet {
     push_node_event(node, delay, true, incarnation_.at(node), std::move(fn));
   }
 
-  /// Schedules a client or driver callback at now + delay on `node`;
-  /// silently dropped if the node is crashed by then, but run on a node
-  /// restarted since.
+  /// Schedules a client callback (a submit, a deadline tick) at now +
+  /// delay on `node`; silently dropped if the node is crashed by then,
+  /// but run on a node restarted since.
   void call_at(ProcessId node, std::uint64_t delay, Callback fn) {
     TS_EXPECTS(node < num_nodes());
     push_node_event(node, delay, false, kAnyIncarnation, std::move(fn));
