@@ -20,10 +20,12 @@
 //
 // One payload in flight per node: a node proposes its next payload only
 // after the previous one landed, so each origin's nonces deliver in
-// order.  Two things rest on that per-origin FIFO: callers like the
-// replicated token race (write before race step), and recovery, whose
+// order.  Three things rest on that per-origin FIFO: callers like the
+// replicated token race (write before race step); recovery, whose
 // snapshots record the per-origin nonce frontier as an exact summary of
-// what the delivered prefix covers (origin_frontiers()).
+// what the delivered prefix covers (origin_frontiers()); and the dedup,
+// which reads that frontier alone (delivery asserts each nonce is one
+// above it).
 //
 // Catch-up (anti-entropy) is query-driven and self-terminating:
 //   * gap repair    — learning slot s while slot s' < s is unknown sends
@@ -99,9 +101,7 @@ class TotalOrderBcast {
   TotalOrderBcast(Net& net, ProcessId self, Deliver deliver,
                   std::uint64_t retry_delay = 40)
       : net_(net), self_(self), deliver_(std::move(deliver)),
-        everyone_(net.num_nodes()),
-        origin_frontier_(net.num_nodes(), 0),
-        nonce_floor_(net.num_nodes(), 0) {
+        everyone_(net.num_nodes()), origin_frontier_(net.num_nodes(), 0) {
     for (ProcessId p = 0; p < everyone_.size(); ++p) everyone_[p] = p;
     paxos_ = std::make_unique<PaxosEngine<Cmd, Net>>(
         net, self, [this](InstanceId) { return std::optional(everyone_); },
@@ -149,30 +149,28 @@ class TotalOrderBcast {
   /// Highest nonce delivered per origin.  Per-origin nonces deliver
   /// contiguously (an origin proposes nonce i+1 only after nonce i
   /// landed), so this vector is an EXACT description of the
-  /// (origin, nonce) pairs the delivered prefix covers — which is what
-  /// lets a snapshot replace the unbounded `seen_` dedup set with n
-  /// integers.
+  /// (origin, nonce) pairs the delivered prefix covers — the dedup
+  /// record delivery reads, and what a snapshot carries as n integers.
   const std::vector<std::uint64_t>& origin_frontiers() const noexcept {
     return origin_frontier_;
   }
 
-  /// Snapshot install: jump the delivery frontier to `slot` and adopt the
-  /// snapshot's per-origin nonce frontiers as the dedup floor.  Commands
-  /// at slots below `slot` are covered by the snapshot and will never be
-  /// delivered here; a command with nonce <= floor[origin] landing in a
-  /// LATER slot (the adoption-race duplicate) is suppressed exactly as
-  /// `seen_` would have.  The Paxos log keeps the decisions below `slot`
+  /// Snapshot install: jump the delivery frontier to `slot` and raise
+  /// the per-origin nonce frontiers to the snapshot's.  Commands at slots
+  /// below `slot` are covered by the snapshot and will never be
+  /// delivered here; a command with nonce <= frontier[origin] landing in
+  /// a LATER slot (the adoption-race duplicate) is suppressed like any
+  /// other duplicate.  The Paxos log keeps the decisions below `slot`
   /// that reached it, but the snapshot covers them, so the retained-log
   /// figures count from `slot` up.  Ends with a frontier query + pump so
   /// catch-up of the log suffix starts immediately.
   void advance_to(std::uint64_t slot,
-                  const std::vector<std::uint64_t>& nonce_floor) {
-    TS_EXPECTS(nonce_floor.size() == nonce_floor_.size());
+                  const std::vector<std::uint64_t>& frontiers) {
+    TS_EXPECTS(frontiers.size() == origin_frontier_.size());
     TS_EXPECTS(slot >= next_deliver_);
     next_deliver_ = slot;
-    for (ProcessId o = 0; o < nonce_floor_.size(); ++o) {
-      nonce_floor_[o] = std::max(nonce_floor_[o], nonce_floor[o]);
-      origin_frontier_[o] = std::max(origin_frontier_[o], nonce_floor[o]);
+    for (ProcessId o = 0; o < origin_frontier_.size(); ++o) {
+      origin_frontier_[o] = std::max(origin_frontier_[o], frontiers[o]);
     }
     log_base_ = slot;
     deliver_ready();  // decisions may already have arrived for >= slot
@@ -271,8 +269,9 @@ class TotalOrderBcast {
     pump();
   }
 
-  /// Contiguous delivery with (origin, nonce) dedup — both the classic
-  /// `seen_` set and the snapshot-installed per-origin nonce floors.
+  /// Contiguous delivery with (origin, nonce) dedup by the per-origin
+  /// frontier; a nonce above it must be the next one (the file comment's
+  /// per-origin FIFO).  Nonce 0, an empty slot value, never delivers.
   void deliver_ready() {
     const auto& log = paxos_->decided_log();
     while (true) {
@@ -287,10 +286,10 @@ class TotalOrderBcast {
                        pending_.end());
         landed_.erase(cmd.nonce);
       }
-      if (cmd.nonce != 0 && cmd.nonce > nonce_floor_[cmd.origin] &&
-          seen_.insert({cmd.origin, cmd.nonce}).second) {
-        origin_frontier_[cmd.origin] =
-            std::max(origin_frontier_[cmd.origin], cmd.nonce);
+      std::uint64_t& frontier = origin_frontier_[cmd.origin];
+      if (cmd.nonce > frontier) {
+        TS_ASSERT(cmd.nonce == frontier + 1);
+        frontier = cmd.nonce;
         deliver_(next_deliver_, cmd.origin, cmd.nonce, cmd.payload);
       }
       ++next_deliver_;
@@ -309,13 +308,9 @@ class TotalOrderBcast {
   /// The installed snapshot's boundary (0 = none): the decided log this
   /// node retains is the Paxos log from here up (advance_to).
   std::uint64_t log_base_ = 0;
-  std::set<std::pair<ProcessId, std::uint64_t>> seen_;
-  /// Highest nonce delivered per origin (exact; see
-  /// origin_frontiers()).
+  /// Highest nonce delivered or snapshot-covered per origin (exact; see
+  /// origin_frontiers()) — the one dedup record.
   std::vector<std::uint64_t> origin_frontier_;
-  /// Snapshot-installed dedup floor: nonces <= floor[origin] are covered
-  /// by the installed snapshot and must not deliver again.
-  std::vector<std::uint64_t> nonce_floor_;
   std::uint64_t pruned_slots_ = 0;
   /// Our nonces decided in SOME slot but not yet delivered (parked
   /// behind a gap): pump() must not re-propose these.

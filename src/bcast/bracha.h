@@ -22,14 +22,14 @@
 // sequence order behind a frontier, mirroring ErbNode so the hybrid
 // replica can swap fast lanes without changing its cut logic.
 //
-// Liveness under loss: like ErbNode, every phase message this node
-// originates (its SEND, its per-slot ECHO and READY) is retransmitted
-// until acked by every live peer; crashed peers are written off via the
-// simulator's crash oracle.  Retransmission covers the node's own copy
-// too — Bracha nodes receive their own sends through the network (no
-// local short-circuit), and a dropped self-SEND would otherwise
-// silently remove the origin's echo from the quorum it may be needed
-// for.
+// Liveness under loss: every phase message this node originates (its
+// SEND, its per-slot ECHO and READY) goes through the RetransmitOutbox
+// ErbNode uses too (bcast/outbox.h), which retransmits it until acked
+// by every live node; crashed peers are written off via the simulator's
+// crash oracle.  Retransmission covers the node's own copy too — Bracha
+// nodes receive their own sends through the network (no local
+// short-circuit), and a dropped self-SEND would otherwise silently
+// remove the origin's echo from the quorum it may be needed for.
 //
 // Equivocation (ISSUE 9 respend defense): a Byzantine origin sending
 // different payloads for one slot cannot split delivery (agreement
@@ -49,12 +49,12 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <numeric>
 #include <optional>
 #include <set>
 #include <tuple>
 #include <vector>
 
+#include "bcast/outbox.h"
 #include "common/wire.h"
 #include "net/simnet.h"
 
@@ -111,7 +111,7 @@ struct ConflictProof {
 /// `NetT` defaults to the plain SimNet carrying BrachaMsg<Payload> — the
 /// standalone configuration (tests/bracha_test.cc, tests/bcast_test.cc).
 /// Any type with the same send/send_all/set_handler/set_timer surface
-/// works (set_timer takes the closure to run, which captures this node);
+/// works (set_timer takes the closure to run, which captures the outbox);
 /// the hybrid replica passes a LaneNet (net/lane_mux.h) so the
 /// Bracha fast lane shares ONE simulated network with the consensus and
 /// relay lanes.
@@ -124,13 +124,10 @@ class BrachaNode {
                                      const Payload&)>;
   using OnConflict = std::function<void(const ConflictProof<Payload>&)>;
 
-  /// Retransmit timer period, in simulated time units (ErbNode's).
-  static constexpr std::uint64_t kRetransmitEvery = 50;
-
   BrachaNode(Net& net, ProcessId self, std::size_t f, Deliver deliver,
              OnConflict on_conflict = {})
       : net_(net), self_(self), f_(f), deliver_(std::move(deliver)),
-        on_conflict_(std::move(on_conflict)),
+        on_conflict_(std::move(on_conflict)), outbox_(net, self),
         next_deliver_(net.num_nodes(), 0) {
     TS_EXPECTS(net_.num_nodes() >= 3 * f_ + 1);
     net_.set_handler(self_, [this](ProcessId from, const Msg& m) {
@@ -167,13 +164,6 @@ class BrachaNode {
   // (phase, origin, seq) — one reliably-sent message per key.
   using OutKey = std::tuple<std::uint8_t, ProcessId, std::uint64_t>;
 
-  /// A phase message still awaiting some live node's ack: the retransmit
-  /// copy plus the missing nodes in ascending order.
-  struct Unacked {
-    Msg msg;
-    std::vector<ProcessId> missing;
-  };
-
   struct SlotState {
     bool echoed = false;
     bool readied = false;
@@ -204,46 +194,13 @@ class BrachaNode {
   void reliable_send_all(Msg m) {
     const OutKey key{static_cast<std::uint8_t>(m.type), m.origin, m.seq};
     TS_ASSERT(!outbox_.contains(key));
-    std::vector<ProcessId> missing(net_.num_nodes());
-    std::iota(missing.begin(), missing.end(), ProcessId{0});
-    net_.send_all(self_, m);
-    outbox_.emplace(key, Unacked{std::move(m), std::move(missing)});
-    arm_timer();
-  }
-
-  void arm_timer() {
-    if (timer_armed_) return;
-    timer_armed_ = true;
-    net_.set_timer(self_, kRetransmitEvery, [this] { on_timer(); });
-  }
-
-  void on_timer() {
-    // Mirrors ErbNode::on_timer: retransmit to the still-missing, write
-    // off crashed peers via the crash oracle (dropping a message once no
-    // live node is missing it), stay armed only while acks are
-    // outstanding so a settled cluster quiesces.
-    timer_armed_ = false;
-    for (auto it = outbox_.begin(); it != outbox_.end();) {
-      auto& [m, missing] = it->second;
-      std::erase_if(missing,
-                    [this](ProcessId p) { return net_.is_crashed(p); });
-      if (missing.empty()) {
-        it = outbox_.erase(it);
-        continue;
-      }
-      for (ProcessId p : missing) net_.send(self_, p, m);
-      ++it;
-    }
-    if (!outbox_.empty()) arm_timer();
+    outbox_.send_all(key, std::move(m), /*self_acks=*/true);
   }
 
   void on_message(ProcessId from, const Msg& m) {
     if (m.type == Msg::Type::kAck) {
-      auto it = outbox_.find(
-          OutKey{static_cast<std::uint8_t>(m.acked), m.origin, m.seq});
-      if (it == outbox_.end()) return;
-      std::erase(it->second.missing, from);
-      if (it->second.missing.empty()) outbox_.erase(it);
+      const OutKey key{static_cast<std::uint8_t>(m.acked), m.origin, m.seq};
+      outbox_.ack(key, from);
       return;
     }
     // Ack back so the sender can stop retransmitting this phase to us.
@@ -340,12 +297,10 @@ class BrachaNode {
   std::size_t f_;
   Deliver deliver_;
   OnConflict on_conflict_;
-  bool timer_armed_ = false;
   std::uint64_t next_seq_ = 0;
   std::map<Slot, SlotState> slots_;
-  /// In flight only: fully acked messages are erased.  Ordered, because
-  /// on_timer's walk order is the retransmit send order.
-  std::map<OutKey, Unacked> outbox_;
+  /// In flight only: fully acked messages are erased.
+  RetransmitOutbox<OutKey, Msg, Net> outbox_;
   std::vector<std::uint64_t> next_deliver_;
   std::uint64_t delivered_n_ = 0;
 };

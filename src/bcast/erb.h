@@ -10,23 +10,24 @@
 //                   (achieved by eager re-broadcast on first delivery).
 // FIFO: messages from the same origin are delivered in sequence order.
 //
-// The implementation retransmits periodically until every peer has acked,
-// making delivery survive probabilistic message drops (the network may
-// drop any single send; retransmission gives eventual delivery on fair
-// links).
+// Every message a node forwards is retransmitted by its RetransmitOutbox
+// (bcast/outbox.h) until every live peer has acked, so delivery survives
+// probabilistic message drops (retransmission gives eventual delivery on
+// fair links).  A node's own copy needs no ack: ERB delivers it in-call.
 //
 // A node keeps only in-flight state: out-of-order messages until they
-// deliver, and a retransmit copy of each message until every live peer
-// acked it.  Duplicates are recognised by the per-origin delivered
-// frontier, so neither memory nor the retransmit walk grows with the
-// number of messages delivered so far.
+// deliver, and the outbox's retransmit copies.  Duplicates are recognised
+// by the per-origin delivered frontier, so neither memory nor the
+// retransmit walk grows with the number of messages delivered so far.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <utility>
 #include <vector>
 
+#include "bcast/outbox.h"
 #include "net/simnet.h"
 
 namespace tokensync {
@@ -52,7 +53,7 @@ struct ErbMsg {
 /// `NetT` defaults to the plain SimNet carrying ErbMsg<Payload> — the
 /// standalone configuration (at_bcast, the dedicated tests).  Any type
 /// with the same send/send_all/set_handler/set_timer surface works
-/// (set_timer takes the closure to run, which captures this node); the
+/// (set_timer takes the closure to run, which captures the outbox); the
 /// hybrid replica runtime passes a LaneNet (net/lane_mux.h) so the ERB
 /// fast lane and the Paxos consensus lane share ONE simulated network.
 template <typename Payload, typename NetT = SimNet<ErbMsg<Payload>>>
@@ -63,12 +64,9 @@ class ErbNode {
   using Deliver = std::function<void(ProcessId origin, std::uint64_t seq,
                                      const Payload&)>;
 
-  /// Retransmit timer period, in simulated time units.
-  static constexpr std::uint64_t kRetransmitEvery = 50;
-
   ErbNode(Net& net, ProcessId self, Deliver deliver)
       : net_(net), self_(self), deliver_(std::move(deliver)),
-        next_deliver_(net.num_nodes(), 0) {
+        outbox_(net, self), next_deliver_(net.num_nodes(), 0) {
     net_.set_handler(self_, [this](ProcessId from, const Msg& m) {
       on_message(from, m);
     });
@@ -98,24 +96,17 @@ class ErbNode {
 
   /// Messages still awaiting at least one peer ack (retransmission is
   /// live while this is non-zero; quiescence tests pin it to 0).
-  std::size_t unacked() const noexcept { return pending_acks_.size(); }
+  std::size_t unacked() const noexcept { return outbox_.size(); }
 
   /// Per-message state held right now: undelivered out-of-order messages
   /// plus retransmit copies.  Delivered, fully acked messages leave
   /// nothing behind, so a quiescent node retains 0 however long it ran.
   std::size_t retained() const noexcept {
-    return undelivered_.size() + pending_acks_.size();
+    return undelivered_.size() + outbox_.size();
   }
 
  private:
   using Key = std::pair<ProcessId, std::uint64_t>;
-
-  /// A message this node forwarded that some live peer has not acked:
-  /// the retransmit copy plus the missing peers in ascending order.
-  struct Unacked {
-    Msg msg;
-    std::vector<ProcessId> missing;
-  };
 
   /// Dedup without a delivered-message archive: below the origin's FIFO
   /// frontier means delivered; otherwise the message is either buffered
@@ -123,68 +114,25 @@ class ErbNode {
   /// retransmit copy.
   bool seen(const Key& key) const {
     return key.second < next_deliver_[key.first] ||
-           undelivered_.contains(key) || pending_acks_.contains(key);
+           undelivered_.contains(key) || outbox_.contains(key);
   }
 
   void store_and_forward(const Msg& m) {
     const Key key{m.origin, m.seq};
     if (seen(key)) return;
     undelivered_.emplace(key, m);
-    std::vector<ProcessId> missing;
-    for (ProcessId p = 0; p < net_.num_nodes(); ++p) {
-      if (p != self_) missing.push_back(p);
-    }
-    if (!missing.empty()) {
-      pending_acks_.emplace(key, Unacked{m, std::move(missing)});
-    }
-    net_.send_all(self_, m);
-    arm_timer();
+    outbox_.send_all(key, m, /*self_acks=*/false);
     try_deliver(m.origin);
-  }
-
-  void arm_timer() {
-    if (timer_armed_) return;
-    timer_armed_ = true;
-    net_.set_timer(self_, kRetransmitEvery, [this] { on_timer(); });
   }
 
   void on_message(ProcessId from, const Msg& m) {
     if (m.type == Msg::Type::kAck) {
-      auto it = pending_acks_.find(Key{m.origin, m.seq});
-      if (it == pending_acks_.end()) return;
-      std::erase(it->second.missing, from);
-      if (it->second.missing.empty()) pending_acks_.erase(it);
+      outbox_.ack(Key{m.origin, m.seq}, from);
       return;
     }
     // Ack back to the forwarder so it can stop retransmitting to us.
     net_.send(self_, from, Msg{Msg::Type::kAck, m.origin, m.seq, {}});
     store_and_forward(m);
-  }
-
-  void on_timer() {
-    // Retransmit unacked messages; keeps delivery live across drops.  The
-    // timer stays armed only while acks are outstanding, so a quiescent
-    // cluster's event queue drains.  Crashed peers are written off
-    // instead of retransmitted to forever — the simulator's crash oracle
-    // stands in for the crash-stop model's perfect failure detector
-    // (without it, one crashed peer keeps every correct node's timer
-    // armed and the network never quiesces).  Only in-flight messages
-    // are walked, in (origin, seq) order, each to its missing peers in
-    // ascending order — the send sequence, and so every seeded Rng draw
-    // behind it, is fixed by the set of unacked messages alone.
-    timer_armed_ = false;
-    for (auto it = pending_acks_.begin(); it != pending_acks_.end();) {
-      auto& [msg, missing] = it->second;
-      std::erase_if(missing,
-                    [this](ProcessId p) { return net_.is_crashed(p); });
-      if (missing.empty()) {
-        it = pending_acks_.erase(it);
-        continue;
-      }
-      for (ProcessId p : missing) net_.send(self_, p, msg);
-      ++it;
-    }
-    if (!pending_acks_.empty()) arm_timer();
   }
 
   void try_deliver(ProcessId origin) {
@@ -205,14 +153,12 @@ class ErbNode {
   Net& net_;
   ProcessId self_;
   Deliver deliver_;
-  bool timer_armed_ = false;
   std::uint64_t next_seq_ = 0;
   /// Received but not yet deliverable (a gap below it in its origin's
   /// sequence); an in-order message passes through immediately.
   std::map<Key, Msg> undelivered_;
-  /// In flight: forwarded and not yet acked by every live peer.  Ordered,
-  /// because on_timer's walk order is the retransmit send order.
-  std::map<Key, Unacked> pending_acks_;
+  /// In flight: forwarded and not yet acked by every live peer.
+  RetransmitOutbox<Key, Msg, Net> outbox_;
   std::vector<std::uint64_t> next_deliver_;
   std::uint64_t delivered_n_ = 0;
 };

@@ -166,9 +166,9 @@ using BlockLaneMsg =
             RecoveryMsg<S>>;
 
 /// `BaseNet` is the net the three lanes multiplex onto — a SimNet
-/// carrying BlockLaneMsg<S> by default, or a per-group facade
-/// (net/shard_group.h's GroupNet) when several whole block runtimes
-/// partition one cluster into replica groups.
+/// carrying BlockLaneMsg<S> by default, or a group's LaneNet over the
+/// group-tagged wire (net/shard_group.h) when several whole block
+/// runtimes partition one cluster into replica groups.
 template <ConcurrentTokenSpec S, typename BaseNet = SimNet<BlockLaneMsg<S>>>
 class BlockReplicaNode {
  public:
@@ -178,8 +178,9 @@ class BlockReplicaNode {
   using Mux = BasicLaneMux<BaseNet, PaxosMsg<TobCmd<Value>>,
                            ExchangeMsg<TaggedOp<BatchOp>>, RecoveryMsg<S>>;
   using Net = BaseNet;
-  using Tob = TotalOrderBcast<Value, typename Mux::NetA>;
-  using Relay = PayloadExchange<TaggedOp<BatchOp>, typename Mux::NetB>;
+  using Tob = TotalOrderBcast<Value, typename Mux::template LaneT<0>>;
+  using Relay =
+      PayloadExchange<TaggedOp<BatchOp>, typename Mux::template LaneT<1>>;
   using Recovery = RecoveryEndpoint<S, typename Mux::template LaneT<2>>;
   using Snap = Snapshot<S>;
   using Entry = ReplicaCore::Entry;
@@ -192,10 +193,10 @@ class BlockReplicaNode {
         eopts_(eopts),
         engine_(std::make_unique<ReplayEngine<S>>(initial, eopts)),
         builder_(pool_, bcfg), mux_(net, self),
-        tob_(mux_.lane_a(), self,
+        tob_(mux_.template lane<0>(), self,
              [this](std::uint64_t slot, ProcessId origin, std::uint64_t nonce,
                     const Value& v) { on_commit(slot, origin, nonce, v); }),
-        relay_(mux_.lane_b(), self,
+        relay_(mux_.template lane<1>(), self,
                [this](const TaggedOp<BatchOp>&) { try_apply(); }),
         recovery_(mux_.template lane<2>(), self,
                   [this] { return tob_.delivered_count(); },

@@ -12,16 +12,18 @@
 //
 //   * LaneMsg<Ls...> — the variant wire type: every message on the
 //     shared network is exactly one lane's message;
-//   * LaneNet<Sub, Base> — the per-node facade each engine binds to.  It
-//     presents exactly the SimNet surface the engines use (send,
-//     send_all, set_handler, set_timer, num_nodes, now, is_crashed),
-//     wrapping outgoing messages into the variant.  Timers are closures
-//     and need no routing back: a lane whose message type is
-//     auxiliary-class (is_aux_wire, common/wire.h) arms them through
-//     set_timer_aux, keeping relay timers out of the primary tie-break
-//     sequence;
-//   * LaneMux<Ls...> — owns the lane facades for one node and installs
-//     the real SimNet handler that dispatches on the variant alternative.
+//   * LaneNet<Sub, Base> — the one per-node facade, for a lane or a
+//     shard group (net/shard_group.h).  It presents exactly the SimNet
+//     surface the engines use (send, send_all, set_handler, set_timer,
+//     set_timer_aux, num_nodes, now, is_crashed), wrapping outgoing
+//     messages into its base's wire: the variant, or GroupMsg{tag, m}.
+//     Timers are closures and need no routing back: a lane whose message
+//     type is auxiliary-class (is_aux_wire, common/wire.h) arms them
+//     through set_timer_aux, keeping relay timers out of the primary
+//     tie-break sequence;
+//   * BasicLaneMux<Base, Ls...> — owns the lane facades for one node and
+//     installs the base net's handler that dispatches on the variant
+//     alternative; its base is a SimNet (LaneMux) or a group's facade.
 //
 // Fault semantics are untouched: drops, duplication, partitions and
 // crashes happen on the BASE net, so all lanes see the same network
@@ -32,6 +34,7 @@
 #include <cstdint>
 #include <functional>
 #include <tuple>
+#include <type_traits>
 #include <utility>
 #include <variant>
 
@@ -47,15 +50,37 @@ namespace tokensync {
 template <typename... Ls>
 using LaneMsg = std::variant<Ls...>;
 
-/// Per-node, per-lane facade over the shared base net: `Sub` selects the
-/// variant alternative on send.
+/// One message of one replica group on the shared net.  The tag rides
+/// the wire header (it does not add payload bytes — kWireHeaderBytes
+/// already charges routing metadata).
+template <typename Sub>
+struct GroupMsg {
+  std::uint32_t group = 0;
+  Sub inner{};
+
+  std::uint64_t wire_size() const { return wire_size_of(inner); }
+};
+
+/// Scheduling class forwards to the wrapped lane message: a group's
+/// relay/recovery traffic stays auxiliary, its consensus traffic stays
+/// primary (the §12.4 invariance argument, per group).
+template <typename Sub>
+bool is_aux_msg(const GroupMsg<Sub>& m) {
+  return is_aux_msg(m.inner);
+}
+
+/// Per-node facade over the shared base net.  A send wraps into the
+/// base's wire: GroupMsg{tag, m} (the sharded node passes each group's
+/// index as `tag`), else the variant alternative `Sub`.
 template <typename Sub, typename Base>
 class LaneNet {
  public:
+  using MsgType = Sub;
   using Handler = std::function<void(ProcessId from, const Sub&)>;
   using Callback = typename Base::Callback;
 
-  explicit LaneNet(Base& base) : base_(base) {}
+  explicit LaneNet(Base& base, std::uint32_t tag = 0)
+      : base_(base), tag_(tag) {}
 
   std::size_t num_nodes() const noexcept { return base_.num_nodes(); }
   std::uint64_t now() const noexcept { return base_.now(); }
@@ -74,6 +99,9 @@ class LaneNet {
       base_.set_timer(node, delay, std::move(fn));
     }
   }
+  void set_timer_aux(ProcessId node, std::uint64_t delay, Callback fn) {
+    base_.set_timer_aux(node, delay, std::move(fn));
+  }
 
   /// The engines register through this exactly as they would on a
   /// SimNet; the mux's base handler dispatches back through it.  The
@@ -87,10 +115,15 @@ class LaneNet {
 
  private:
   typename Base::MsgType wrap(Sub m) const {
-    return typename Base::MsgType(std::in_place_type<Sub>, std::move(m));
+    if constexpr (std::is_same_v<typename Base::MsgType, GroupMsg<Sub>>) {
+      return GroupMsg<Sub>{tag_, std::move(m)};
+    } else {
+      return typename Base::MsgType(std::in_place_type<Sub>, std::move(m));
+    }
   }
 
   Base& base_;
+  std::uint32_t tag_;
   Handler handler_;
 };
 
@@ -101,9 +134,9 @@ class LaneNet {
 ///
 /// `Base` is any net presenting the SimNet surface with
 /// `MsgType = LaneMsg<Ls...>` — a real SimNet (the `LaneMux` alias
-/// below) or another facade such as the shard router's per-group
-/// GroupNet (net/shard_group.h), which lets a whole lane STACK ride one
-/// group of a partitioned cluster.
+/// below) or a shard group's LaneNet over the group-tagged wire
+/// (net/shard_group.h), which lets a whole lane STACK ride one group of
+/// a partitioned cluster.
 template <typename Base, typename... Ls>
 class BasicLaneMux {
  public:
@@ -114,8 +147,6 @@ class BasicLaneMux {
   using Net = Base;
   template <std::size_t I>
   using LaneT = LaneNet<std::variant_alternative_t<I, Msg>, Net>;
-  using NetA = LaneT<0>;
-  using NetB = LaneT<1>;
 
   BasicLaneMux(Net& net, ProcessId self) : lanes_(LaneNet<Ls, Net>(net)...) {
     net.set_handler(self, [this](ProcessId from, const Msg& m) {
@@ -130,8 +161,6 @@ class BasicLaneMux {
   LaneT<I>& lane() noexcept {
     return std::get<I>(lanes_);
   }
-  NetA& lane_a() noexcept { return std::get<0>(lanes_); }
-  NetB& lane_b() noexcept { return std::get<1>(lanes_); }
 
  private:
   template <std::size_t... Is>

@@ -110,26 +110,20 @@ struct MultiProposerConfig {
   std::uint64_t propose_base = 4;
 };
 
-/// The multi-proposer pipeline's multiplexed wire type: lane 0 the
-/// consensus (Paxos) traffic over reference values, lane 1 the
-/// sub-block dissemination + recovery lane (primary-class: the file
-/// comment).
 template <ConcurrentTokenSpec S>
-using MpLaneMsg =
-    LaneMsg<PaxosMsg<TobCmd<MpValue>>,
-            ExchangeMsg<SubBlock<typename ConcurrentLedger<S>::BatchOp>>>;
-
-template <ConcurrentTokenSpec S, typename BaseNet = SimNet<MpLaneMsg<S>>>
 class MultiProposerNode {
  public:
   using Op = typename S::Op;
   using BatchOp = typename ConcurrentLedger<S>::BatchOp;
   using Value = MpValue;
   using Sub = SubBlock<BatchOp>;
-  using Mux = BasicLaneMux<BaseNet, PaxosMsg<TobCmd<Value>>, ExchangeMsg<Sub>>;
-  using Net = BaseNet;
-  using Tob = TotalOrderBcast<Value, typename Mux::NetA>;
-  using Exchange = PayloadExchange<Sub, typename Mux::NetB>;
+  /// Lane 0 the consensus (Paxos) traffic over reference values, lane 1
+  /// the sub-block dissemination + recovery lane (primary-class: the
+  /// file comment).
+  using Mux = LaneMux<PaxosMsg<TobCmd<Value>>, ExchangeMsg<Sub>>;
+  using Net = typename Mux::Net;
+  using Tob = TotalOrderBcast<Value, typename Mux::template LaneT<0>>;
+  using Exchange = PayloadExchange<Sub, typename Mux::template LaneT<1>>;
   using Entry = ReplicaCore::Entry;
 
   /// Rank spacing of the pacing timers: short, so once takeover is
@@ -167,11 +161,11 @@ class MultiProposerNode {
                                                net.num_nodes())),
         engine_(std::make_unique<ReplayEngine<S>>(initial, eopts)),
         builder_(pool_, self, cfg.subblock_max_ops), mux_(net, self),
-        tob_(mux_.lane_a(), self,
+        tob_(mux_.template lane<0>(), self,
              [this](std::uint64_t slot, ProcessId origin, std::uint64_t nonce,
                     const Value& v) { on_commit(slot, origin, nonce, v); },
              kRetryDelay),
-        exchange_(mux_.lane_b(), self, [this](const Sub& s) {
+        exchange_(mux_.template lane<1>(), self, [this](const Sub& s) {
           on_subblock(s);
         }) {
     pool_.set_origin(self);

@@ -11,16 +11,16 @@
 // of ONE shared SimNet:
 //
 //   SimNet<GroupMsg<BlockLaneMsg>>      one wire, one event schedule
-//     └─ ShardGroupMux (per node)       dispatch on the group tag
-//          └─ GroupNet (per group)      the SimNet surface, group-tagged
+//     └─ ShardedReplicaNode (per node)  dispatch on the group tag
+//          └─ LaneNet (per group)       the SimNet surface, group-tagged
 //               └─ BasicLaneMux         the block pipeline's 3 lanes
 //                    └─ Paxos / relay / recovery engines
 //
-// GroupMsg wraps each lane message with its group id; is_aux_msg
-// forwards to the inner message, so a group's relay/recovery lanes keep
-// drawing from the auxiliary randomness stream and the per-group
-// consensus schedules stay primary-class — the same two-class argument
-// as §12.4, now per group.
+// GroupMsg (net/lane_mux.h) wraps each lane message with its group id;
+// is_aux_msg forwards to the inner message, so a group's relay/recovery
+// lanes keep drawing from the auxiliary randomness stream and the
+// per-group consensus schedules stay primary-class — the same two-class
+// argument as §12.4, now per group.
 //
 // Ownership and routing.  Account a starts in group a mod G.  Each node
 // keeps a local route map updated from COMMITTED migration records, so
@@ -101,108 +101,11 @@
 #include "exec/block.h"
 #include "exec/snapshot.h"
 #include "net/block_replica.h"
+#include "net/lane_mux.h"
 #include "net/simnet.h"
 #include "objects/object.h"
 
 namespace tokensync {
-
-// ---------------------------------------------------------------------------
-// The group-tagged wire
-// ---------------------------------------------------------------------------
-
-/// One message of one replica group on the shared net.  The tag rides
-/// the wire header (it does not add payload bytes — kWireHeaderBytes
-/// already charges routing metadata).
-template <typename Sub>
-struct GroupMsg {
-  std::uint32_t group = 0;
-  Sub inner{};
-
-  std::uint64_t wire_size() const { return wire_size_of(inner); }
-};
-
-/// Scheduling class forwards to the wrapped lane message: a group's
-/// relay/recovery traffic stays auxiliary, its consensus traffic stays
-/// primary (the §12.4 invariance argument, per group).
-template <typename Sub>
-bool is_aux_msg(const GroupMsg<Sub>& m) {
-  return is_aux_msg(m.inner);
-}
-
-/// Per-node, per-group facade presenting the SimNet surface with
-/// `MsgType = Sub`; a whole BasicLaneMux lane stack binds to it exactly
-/// as it would to a SimNet.  Sends wrap with the group tag; timers are
-/// closures and go to the base net as they are.
-template <typename Sub>
-class GroupNet {
- public:
-  using MsgType = Sub;
-  using Wire = GroupMsg<Sub>;
-  using Base = SimNet<Wire>;
-  using Handler = std::function<void(ProcessId from, const Sub&)>;
-  using Callback = typename Base::Callback;
-
-  GroupNet(Base& base, std::uint32_t group) : base_(base), group_(group) {}
-
-  std::size_t num_nodes() const noexcept { return base_.num_nodes(); }
-  std::uint64_t now() const noexcept { return base_.now(); }
-  bool is_crashed(ProcessId p) const { return base_.is_crashed(p); }
-
-  void send(ProcessId from, ProcessId to, Sub m) {
-    base_.send(from, to, Wire{group_, std::move(m)});
-  }
-  void send_all(ProcessId from, const Sub& m) {
-    base_.send_all(from, Wire{group_, m});
-  }
-  void set_timer(ProcessId node, std::uint64_t delay, Callback fn) {
-    base_.set_timer(node, delay, std::move(fn));
-  }
-  void set_timer_aux(ProcessId node, std::uint64_t delay, Callback fn) {
-    base_.set_timer_aux(node, delay, std::move(fn));
-  }
-
-  void set_handler(ProcessId /*node*/, Handler h) { handler_ = std::move(h); }
-
-  void dispatch(ProcessId from, const Sub& m) const {
-    if (handler_) handler_(from, m);
-  }
-
- private:
-  Base& base_;
-  std::uint32_t group_;
-  Handler handler_;
-};
-
-/// One node's group facades plus the base-net dispatch glue (the group
-/// analogue of BasicLaneMux: construct before the group runtimes, keep
-/// alive as long as they are).
-template <typename Sub>
-class ShardGroupMux {
- public:
-  using Msg = GroupMsg<Sub>;
-  using Net = SimNet<Msg>;
-  using Group = GroupNet<Sub>;
-
-  ShardGroupMux(Net& net, ProcessId self, std::uint32_t num_groups) {
-    TS_EXPECTS(num_groups >= 1);
-    groups_.reserve(num_groups);
-    for (std::uint32_t g = 0; g < num_groups; ++g) {
-      groups_.push_back(std::make_unique<Group>(net, g));
-    }
-    net.set_handler(self, [this](ProcessId from, const Msg& m) {
-      if (m.group < groups_.size()) groups_[m.group]->dispatch(from, m.inner);
-    });
-  }
-
-  ShardGroupMux(const ShardGroupMux&) = delete;
-  ShardGroupMux& operator=(const ShardGroupMux&) = delete;
-
-  std::size_t num_groups() const noexcept { return groups_.size(); }
-  Group& group(std::uint32_t g) { return *groups_.at(g); }
-
- private:
-  std::vector<std::unique_ptr<Group>> groups_;
-};
 
 // ---------------------------------------------------------------------------
 // The sharded token spec
@@ -690,16 +593,17 @@ struct ShardAudit {
 };
 
 /// One node of the sharded cluster: G block-pipeline runtimes over one
-/// SimNet (via ShardGroupMux), a local route map, and the 2PC/migration
-/// reaction driver.  Presents the scenario-audit surface per group and
-/// concatenated.
+/// SimNet (each through its group's LaneNet facade), a local route map,
+/// and the 2PC/migration reaction driver.  Presents the scenario-audit
+/// surface per group and concatenated.
 class ShardedReplicaNode {
  public:
   using Spec = ShardLedgerSpec;
   using Sub = BlockLaneMsg<Spec>;
   using Msg = GroupMsg<Sub>;
   using Net = SimNet<Msg>;
-  using Group = BlockReplicaNode<Spec, GroupNet<Sub>>;
+  using GroupNet = LaneNet<Sub, Net>;
+  using Group = BlockReplicaNode<Spec, GroupNet>;
   using Entry = ReplicaCore::Entry;
 
   /// Reaction timing: the record's coordinator reacts kReactDelay after
@@ -713,16 +617,27 @@ class ShardedReplicaNode {
   ShardedReplicaNode(Net& net, ProcessId self, const ShardGroupConfig& scfg,
                      BlockConfig bcfg, ExecOptions eopts,
                      RelayMode relay_mode = RelayMode::kFull)
-      : net_(net), self_(self), scfg_(scfg),
-        mux_(net, self, scfg.num_groups), route_(scfg.num_accounts),
+      : net_(net), self_(self), scfg_(scfg), route_(scfg.num_accounts),
         stage_view_(scfg.num_groups) {
+    TS_EXPECTS(scfg_.num_groups >= 1);
     for (std::size_t a = 0; a < scfg_.num_accounts; ++a) {
       route_[a] = static_cast<std::uint32_t>(a % scfg_.num_groups);
     }
+    // Each group's lane mux binds to its facade, so the facades and the
+    // one base handler, which dispatches on the group tag, come first.
+    group_nets_.reserve(scfg_.num_groups);
+    for (std::uint32_t g = 0; g < scfg_.num_groups; ++g) {
+      group_nets_.push_back(std::make_unique<GroupNet>(net, g));
+    }
+    net.set_handler(self, [this](ProcessId from, const Msg& m) {
+      if (m.group < group_nets_.size()) {
+        group_nets_[m.group]->dispatch(from, m.inner);
+      }
+    });
     groups_.reserve(scfg_.num_groups);
     for (std::uint32_t g = 0; g < scfg_.num_groups; ++g) {
       groups_.push_back(std::make_unique<Group>(
-          mux_.group(g), self,
+          *group_nets_[g], self,
           ShardState::initial(g, scfg_.num_groups, scfg_.num_accounts,
                               scfg_.initial_balance),
           bcfg, eopts, relay_mode));
@@ -1014,7 +929,8 @@ class ShardedReplicaNode {
   Net& net_;
   ProcessId self_;
   ShardGroupConfig scfg_;
-  ShardGroupMux<Sub> mux_;
+  /// Per group: the facade its runtime's lanes ride (outlives them).
+  std::vector<std::unique_ptr<GroupNet>> group_nets_;
   std::vector<std::unique_ptr<Group>> groups_;
   /// account -> current group, per THIS node's applied migrations.
   std::vector<std::uint32_t> route_;
