@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "atomic/ledger_specs.h"
 #include "atomic/tokens.h"
 #include "objects/erc721.h"
 

@@ -1,6 +1,5 @@
 // ConcurrentLedger<Spec> — the hardware-concurrent token substrate,
-// generic over the token family (the tentpole generalization of the seed's
-// ERC20-only MutexToken/ShardedToken).
+// generic over the token family.
 //
 // The paper's scalability thesis (Sec. 5, experiment E9) is that a token
 // ledger only needs to synchronize operations within the same σ-group

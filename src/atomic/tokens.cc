@@ -4,10 +4,6 @@
 
 namespace tokensync {
 
-// MutexToken and ShardedToken are header-only wrappers over
-// ConcurrentLedger<Erc20LedgerSpec>; only the lock-free race object and
-// the hardware Algorithm 1 live here.
-
 // ---------------------------------------------------------------------------
 // AtomicRaceToken.
 // ---------------------------------------------------------------------------

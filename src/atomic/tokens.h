@@ -1,25 +1,20 @@
-// Hardware-concurrent ERC20 token implementations (std::thread substrate).
-//
-// Three implementations embodying the paper's synchronization spectrum
+// The lock-free race object and hardware Algorithm 1 (std::thread
+// substrate) — the wait-free end of the paper's synchronization spectrum
 // (experiment E9):
-//   * MutexToken   — one global mutex: every operation totally ordered,
-//                    the "all transactions through consensus" baseline the
-//                    paper argues is wasteful;
-//   * ShardedToken — one lock per account: operations on different
-//                    accounts proceed in parallel — the per-account
-//                    synchronization granularity the paper derives
-//                    (coordination only among σ(a));
 //   * AtomicRaceToken — a lock-free, wait-free specialization of T_q for
 //                    q ∈ S_k restricted to the operations Algorithm 1
 //                    uses: the race account's (balance, winner) pair is
 //                    packed into ONE std::atomic<uint64_t> so the decision
-//                    step is a single CAS (see DESIGN.md §4).
+//                    step is a single CAS (see DESIGN.md §4);
+//   * HwAlgo1       — wait-free consensus among k threads from one race
+//                    token plus k atomic registers.
 //
-// MutexToken and ShardedToken are the ERC20 instantiation of the generic
-// ConcurrentLedger<Spec> (atomic/ledger.h) at the two ends of its shard
-// spectrum — num_shards = 1 vs num_shards = num_accounts — kept as thin
-// wrappers for their established call-site API.  ERC721 and ERC777
-// ledgers are instantiated directly from atomic/ledger_specs.h.
+// The lock-based ends of the spectrum are the ERC20 ledger itself:
+// Erc20Ledger (atomic/ledger_specs.h) at num_shards = 1 is the global
+// mutex, the "all transactions through consensus" baseline the paper
+// argues is wasteful, and at num_shards = 0 (one shard per account) it
+// is the per-account synchronization granularity the paper derives
+// (coordination only among σ(a)).
 //
 // Tests validate the ledgers against the sequential specifications via
 // linearizability checking, and benches compare throughput/latency.
@@ -30,96 +25,9 @@
 #include <optional>
 #include <vector>
 
-#include "atomic/ledger.h"
-#include "atomic/ledger_specs.h"
 #include "common/ids.h"
-#include "objects/erc20.h"
 
 namespace tokensync {
-
-/// Globally-locked ERC20 token — the total-order baseline: the ERC20
-/// ledger collapsed to a single lock shard.  Benchmark gaps against
-/// ShardedToken measure synchronization granularity, not data layout.
-class MutexToken {
- public:
-  /// `validation_spin` simulates per-operation validation work (signature
-  /// check / VM execution) inside the critical section, in ~1ns units; a
-  /// real ledger never applies an unvalidated transaction, so the work
-  /// necessarily serializes under whichever lock protects the state.
-  explicit MutexToken(const Erc20State& initial, unsigned validation_spin = 0)
-      : ledger_(initial, validation_spin, /*num_shards=*/1) {}
-
-  bool transfer(ProcessId caller, AccountId dst, Amount v) {
-    return ledger_.apply(caller, Erc20Op::transfer(dst, v)).ok;
-  }
-  bool transfer_from(ProcessId caller, AccountId src, AccountId dst,
-                     Amount v) {
-    return ledger_.apply(caller, Erc20Op::transfer_from(src, dst, v)).ok;
-  }
-  bool approve(ProcessId caller, ProcessId spender, Amount v) {
-    return ledger_.apply(caller, Erc20Op::approve(spender, v)).ok;
-  }
-  Amount balance_of(AccountId a) const {
-    return ledger_.apply(0, Erc20Op::balance_of(a)).value;
-  }
-  Amount allowance(AccountId a, ProcessId p) const {
-    return ledger_.apply(0, Erc20Op::allowance(a, p)).value;
-  }
-  /// Exact: the single shard totally orders the sum with every update.
-  Amount total_supply() const {
-    return ledger_.apply(0, Erc20Op::total_supply()).value;
-  }
-
-  /// Snapshot of the full state (quiescent use only).
-  Erc20State snapshot() const { return ledger_.snapshot(); }
-
- private:
-  mutable Erc20Ledger ledger_;
-};
-
-/// Per-account-locked ERC20 token — per-account synchronization: the
-/// ERC20 ledger with one shard per account.
-///
-/// Lock order: shard locks are always acquired in increasing order inside
-/// ConcurrentLedger, so cross-account transfers cannot deadlock.  An
-/// account's balance AND its allowance row share the account's shard
-/// (transferFrom must debit both atomically — they belong to the same
-/// σ-group anyway).
-class ShardedToken {
- public:
-  /// See MutexToken for `validation_spin`.
-  explicit ShardedToken(const Erc20State& initial,
-                        unsigned validation_spin = 0)
-      : ledger_(initial, validation_spin, /*num_shards=*/0) {}
-
-  bool transfer(ProcessId caller, AccountId dst, Amount v) {
-    return ledger_.apply(caller, Erc20Op::transfer(dst, v)).ok;
-  }
-  bool transfer_from(ProcessId caller, AccountId src, AccountId dst,
-                     Amount v) {
-    return ledger_.apply(caller, Erc20Op::transfer_from(src, dst, v)).ok;
-  }
-  bool approve(ProcessId caller, ProcessId spender, Amount v) {
-    return ledger_.apply(caller, Erc20Op::approve(spender, v)).ok;
-  }
-  Amount balance_of(AccountId a) const {
-    return ledger_.apply(0, Erc20Op::balance_of(a)).value;
-  }
-  Amount allowance(AccountId a, ProcessId p) const {
-    return ledger_.apply(0, Erc20Op::allowance(a, p)).value;
-  }
-  /// Locks shards one at a time: a *weak* (non-atomic) total; exact
-  /// under quiescence.  Conservation tests use quiescent points.
-  Amount total_supply_weak() const { return ledger_.weak_sum(); }
-
-  Erc20State snapshot() const { return ledger_.snapshot(); }  // quiescent
-  std::size_t num_accounts() const noexcept {
-    return ledger_.num_accounts();
-  }
-
- private:
-  mutable Erc20Ledger ledger_;
-};
 
 /// Lock-free race object: the T_q fragment Algorithm 1 needs, for
 /// q ∈ S_k with race account a_1.

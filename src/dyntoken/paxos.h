@@ -139,7 +139,6 @@ class PaxosEngine {
   const Value& decision(InstanceId instance) const {
     return decided_.at(instance);
   }
-  std::size_t decided_count() const noexcept { return decided_.size(); }
   /// The decided log itself, by instance (pruned below floor()).  A
   /// layer that orders by instance reads its decisions here instead of
   /// keeping a second copy.

@@ -183,7 +183,6 @@ class BlockReplicaNode {
       PayloadExchange<TaggedOp<BatchOp>, typename Mux::template LaneT<1>>;
   using Recovery = RecoveryEndpoint<S, typename Mux::template LaneT<2>>;
   using Snap = Snapshot<S>;
-  using Entry = ReplicaCore::Entry;
 
   BlockReplicaNode(Net& net, ProcessId self,
                    const typename S::SeqState& initial, BlockConfig bcfg,
@@ -278,7 +277,6 @@ class BlockReplicaNode {
   bool history_prefix_of(const BlockReplicaNode& ref) const {
     return core_.history_prefix_of(ref.core_);
   }
-  const std::vector<Entry>& log() const noexcept { return core_.log(); }
   /// Per-BLOCK commit latencies (submit of the block -> local apply; in
   /// compact mode this includes any recover-on-miss wait).
   const std::vector<std::uint64_t>& commit_latencies() const noexcept {

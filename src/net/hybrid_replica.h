@@ -232,7 +232,6 @@ class HybridReplicaNode {
       PayloadExchange<TaggedOp<BatchOp>, typename Mux::template LaneT<2>>;
   using Bracha = BrachaNode<FastBatch, typename Mux::template LaneT<3>>;
   using ProofRelay = ErbNode<Proof, typename Mux::template LaneT<4>>;
-  using Entry = ReplicaCore::Entry;
 
   /// Fast-lane deadline cut period (simulated time): a partial batch
   /// never waits longer than this for its broadcast.
@@ -349,7 +348,6 @@ class HybridReplicaNode {
   bool history_prefix_of(const HybridReplicaNode& ref) const {
     return core_.history_prefix_of(ref.core_);
   }
-  const std::vector<Entry>& log() const noexcept { return core_.log(); }
   std::uint64_t last_commit_time() const noexcept {
     return core_.last_commit_time();
   }

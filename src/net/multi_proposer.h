@@ -124,7 +124,6 @@ class MultiProposerNode {
   using Net = typename Mux::Net;
   using Tob = TotalOrderBcast<Value, typename Mux::template LaneT<0>>;
   using Exchange = PayloadExchange<Sub, typename Mux::template LaneT<1>>;
-  using Entry = ReplicaCore::Entry;
 
   /// Rank spacing of the pacing timers: short, so once takeover is
   /// warranted the next backup steps in fast.
@@ -237,7 +236,6 @@ class MultiProposerNode {
   bool history_prefix_of(const MultiProposerNode& ref) const {
     return core_.history_prefix_of(ref.core_);
   }
-  const std::vector<Entry>& log() const noexcept { return core_.log(); }
   /// Per-OP commit latencies (submit -> local apply of the slot whose
   /// sub-block carried the op; includes pool wait and any
   /// recover-on-miss delay).
@@ -248,7 +246,6 @@ class MultiProposerNode {
   // --- accounting ---
 
   const ReplayEngine<S>& engine() const noexcept { return *engine_; }
-  std::size_t num_proposers() const noexcept { return num_proposers_; }
   bool is_proposer() const noexcept { return self_ < num_proposers_; }
   std::size_t slots_committed() const noexcept { return core_.log().size(); }
   std::size_t ops_committed() const noexcept { return engine_->ops_applied(); }

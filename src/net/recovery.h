@@ -206,8 +206,6 @@ class RecoveryEndpoint {
   /// The node is caught up (or installed what it needs): stop retrying.
   void done() { fetching_ = false; }
 
-  bool fetching() const noexcept { return fetching_; }
-
   std::uint64_t snap_requests_sent() const noexcept { return requests_; }
 
   /// Test hook: refuse to serve snapshots newer than this boundary (the

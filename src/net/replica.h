@@ -90,7 +90,6 @@ class ReplicaNode {
   using Cmd = typename SM::Cmd;
   using Tob = TotalOrderBcast<Cmd>;
   using Net = typename Tob::Net;
-  using Entry = ReplicaCore::Entry;
 
   ReplicaNode(Net& net, ProcessId self, SM sm)
       : net_(net), self_(self), sm_(std::move(sm)),
@@ -112,7 +111,6 @@ class ReplicaNode {
   void sync() { tob_.sync(); }
 
   const SM& machine() const noexcept { return sm_; }
-  const std::vector<Entry>& log() const noexcept { return core_.log(); }
   std::size_t submitted() const noexcept { return core_.submitted(); }
   bool all_settled() const noexcept { return tob_.all_settled(); }
   /// One command per slot, so slots and ops committed are both the log.
@@ -215,7 +213,6 @@ class RaceSM {
   std::optional<Decision> decision(ProcessId i) const {
     return decisions_.at(i);
   }
-  std::size_t participants() const noexcept { return k_; }
 
  private:
   Spec spec_;

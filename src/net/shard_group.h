@@ -604,7 +604,6 @@ class ShardedReplicaNode {
   using Net = SimNet<Msg>;
   using GroupNet = LaneNet<Sub, Net>;
   using Group = BlockReplicaNode<Spec, GroupNet>;
-  using Entry = ReplicaCore::Entry;
 
   /// Reaction timing: the record's coordinator reacts kReactDelay after
   /// observing a committed transition; replica r backs off an extra
@@ -751,8 +750,6 @@ class ShardedReplicaNode {
   // --- group accounting ---
 
   std::size_t num_groups() const noexcept { return groups_.size(); }
-  Group& group(std::uint32_t g) { return *groups_.at(g); }
-  const Group& group(std::uint32_t g) const { return *groups_.at(g); }
   ShardState group_state(std::uint32_t g) const {
     return groups_.at(g)->engine().ledger().snapshot();
   }

@@ -1,11 +1,15 @@
 // Tests for the hardware-concurrent tokens (experiment E9's correctness
-// side): multi-threaded conservation, linearizability spot checks of
-// ShardedToken, and the hardware Algorithm 1 on real std::threads.
+// side): the ERC20 ledger at both ends of its shard spectrum (one global
+// lock, one lock per account) against the spec, multi-threaded
+// conservation and linearizability spot checks of the per-account
+// ledger, and the race token and hardware Algorithm 1 on real
+// std::threads.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <thread>
 
+#include "atomic/ledger_specs.h"
 #include "atomic/tokens.h"
 #include "common/rng.h"
 #include "lin/wg.h"
@@ -14,14 +18,18 @@ namespace tokensync {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Single-threaded equivalence of both lock-based tokens with the spec.
+// Single-threaded equivalence of the global-lock (num_shards 1) and
+// per-account (num_shards 0) ERC20 ledgers with the spec.
 // ---------------------------------------------------------------------------
 TEST(HwTokens, SingleThreadedEquivalenceWithSpec) {
   Rng rng(31);
   const std::size_t n = 4;
   Erc20State oracle(n, 0, 40);
-  MutexToken mt(oracle);
-  ShardedToken st(oracle);
+  Erc20Ledger mt(oracle, 0, /*num_shards=*/1);
+  Erc20Ledger st(oracle);
+  const auto ok = [](Erc20Ledger& l, ProcessId c, const Erc20Op& op) {
+    return l.apply(c, op).ok;
+  };
 
   for (int i = 0; i < 2000; ++i) {
     const ProcessId c = static_cast<ProcessId>(rng.below(n));
@@ -30,27 +38,27 @@ TEST(HwTokens, SingleThreadedEquivalenceWithSpec) {
     const Amount v = rng.below(45);
     switch (rng.below(3)) {
       case 0: {
-        auto [resp, next] =
-            Erc20Spec::apply(oracle, c, Erc20Op::transfer(a, v));
+        const Erc20Op op = Erc20Op::transfer(a, v);
+        auto [resp, next] = Erc20Spec::apply(oracle, c, op);
         oracle = next;
-        EXPECT_EQ(mt.transfer(c, a, v), resp.ok);
-        EXPECT_EQ(st.transfer(c, a, v), resp.ok);
+        EXPECT_EQ(ok(mt, c, op), resp.ok);
+        EXPECT_EQ(ok(st, c, op), resp.ok);
         break;
       }
       case 1: {
-        auto [resp, next] =
-            Erc20Spec::apply(oracle, c, Erc20Op::transfer_from(a, b, v));
+        const Erc20Op op = Erc20Op::transfer_from(a, b, v);
+        auto [resp, next] = Erc20Spec::apply(oracle, c, op);
         oracle = next;
-        EXPECT_EQ(mt.transfer_from(c, a, b, v), resp.ok);
-        EXPECT_EQ(st.transfer_from(c, a, b, v), resp.ok);
+        EXPECT_EQ(ok(mt, c, op), resp.ok);
+        EXPECT_EQ(ok(st, c, op), resp.ok);
         break;
       }
       default: {
-        auto [resp, next] = Erc20Spec::apply(
-            oracle, c, Erc20Op::approve(static_cast<ProcessId>(b), v));
+        const Erc20Op op = Erc20Op::approve(static_cast<ProcessId>(b), v);
+        auto [resp, next] = Erc20Spec::apply(oracle, c, op);
         oracle = next;
-        EXPECT_EQ(mt.approve(c, static_cast<ProcessId>(b), v), resp.ok);
-        EXPECT_EQ(st.approve(c, static_cast<ProcessId>(b), v), resp.ok);
+        EXPECT_EQ(ok(mt, c, op), resp.ok);
+        EXPECT_EQ(ok(st, c, op), resp.ok);
         break;
       }
     }
@@ -64,12 +72,12 @@ TEST(HwTokens, SingleThreadedEquivalenceWithSpec) {
 // ---------------------------------------------------------------------------
 class HwConservation : public ::testing::TestWithParam<int> {};
 
-TEST_P(HwConservation, ShardedTokenConservesSupply) {
+TEST_P(HwConservation, PerAccountLedgerConservesSupply) {
   const int threads = GetParam();
   const std::size_t n = 16;
   const Amount per_account = 1000;
   std::vector<Amount> balances(n, per_account);
-  ShardedToken token(Erc20State(
+  Erc20Ledger ledger(Erc20State(
       balances, std::vector<std::vector<Amount>>(
                     n, std::vector<Amount>(n, 0))));
 
@@ -82,37 +90,40 @@ TEST_P(HwConservation, ShardedTokenConservesSupply) {
         const AccountId d = static_cast<AccountId>(rng.below(n));
         switch (rng.below(3)) {
           case 0:
-            token.transfer(c, d, rng.below(50));
+            ledger.apply(c, Erc20Op::transfer(d, rng.below(50)));
             break;
           case 1:
-            token.transfer_from(c, static_cast<AccountId>(rng.below(n)), d,
-                                rng.below(50));
+            ledger.apply(c, Erc20Op::transfer_from(
+                                static_cast<AccountId>(rng.below(n)), d,
+                                rng.below(50)));
             break;
           default:
-            token.approve(c, static_cast<ProcessId>(rng.below(n)),
-                          rng.below(100));
+            ledger.apply(c, Erc20Op::approve(
+                                static_cast<ProcessId>(rng.below(n)),
+                                rng.below(100)));
             break;
         }
       }
     });
   }
   for (auto& w : workers) w.join();
-  EXPECT_EQ(token.total_supply_weak(), per_account * n);
+  EXPECT_EQ(ledger.weak_sum(), per_account * n);
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, HwConservation, ::testing::Values(2, 4, 8));
 
 // ---------------------------------------------------------------------------
 // Linearizability spot check: small concurrent histories recorded from
-// real threads on ShardedToken are accepted by the Wing–Gong checker.
+// real threads on the per-account ledger are accepted by the Wing–Gong
+// checker.
 // ---------------------------------------------------------------------------
-TEST(HwTokens, ShardedTokenConcurrentHistoriesLinearizable) {
+TEST(HwTokens, PerAccountLedgerConcurrentHistoriesLinearizable) {
   for (int round = 0; round < 50; ++round) {
     const std::size_t n = 3;
     Erc20State initial(n, 0, 20);
     initial.set_allowance(0, 1, 15);
     initial.set_allowance(0, 2, 15);
-    ShardedToken token(initial);
+    Erc20Ledger ledger(initial);
 
     std::atomic<std::size_t> clock{1};
     struct Rec {
@@ -129,13 +140,9 @@ TEST(HwTokens, ShardedTokenConcurrentHistoriesLinearizable) {
         const AccountId dst = static_cast<AccountId>(rng.below(n));
         const Amount v = 1 + rng.below(9);
         const std::size_t inv = clock.fetch_add(1);
-        if (me == 0) {
-          op = Erc20Op::transfer(dst, v);
-          ok = token.transfer(me, dst, v);
-        } else {
-          op = Erc20Op::transfer_from(0, dst, v);
-          ok = token.transfer_from(me, 0, dst, v);
-        }
+        op = me == 0 ? Erc20Op::transfer(dst, v)
+                     : Erc20Op::transfer_from(0, dst, v);
+        ok = ledger.apply(me, op).ok;
         const std::size_t ret = clock.fetch_add(1);
         recs[idx].h.caller = me;
         recs[idx].h.op = op;

@@ -1,6 +1,6 @@
 // Linearizability of the generic ConcurrentLedger instantiations under
-// real multi-threaded load, mirroring the existing ShardedToken/ERC20
-// check: small concurrent histories recorded from std::threads must be
+// real multi-threaded load, mirroring the per-account ERC20 ledger's
+// check (atomic_tokens_test): small concurrent histories recorded from std::threads must be
 // accepted by the Wing–Gong checker against the *sequential*
 // specification — the single-source-of-truth property the ledger
 // refactor promises (apply_inplace ≡ SeqSpec::apply).

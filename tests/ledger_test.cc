@@ -9,7 +9,6 @@
 
 #include "atomic/ledger.h"
 #include "atomic/ledger_specs.h"
-#include "atomic/tokens.h"
 #include "common/rng.h"
 #include "net/shard_group.h"
 
@@ -241,8 +240,8 @@ TEST(LedgerBatch, MixedBatchConservesSupplyAndAnswers) {
 }
 
 // ---------------------------------------------------------------------------
-// Multi-threaded conservation for the NEW instantiations, across shard
-// counts (the ERC20 case is covered by the existing ShardedToken test).
+// Multi-threaded conservation for the ERC777 and ERC721 instantiations,
+// across shard counts (atomic_tokens_test covers ERC20 per account).
 // ---------------------------------------------------------------------------
 class LedgerConservation
     : public ::testing::TestWithParam<std::tuple<int, int>> {};
