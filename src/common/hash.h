@@ -2,7 +2,9 @@
 //
 // Model-checking configurations and linearizability-search memo keys are
 // fingerprinted by combining field hashes; we use the standard
-// boost-style combiner over a 64-bit FNV-ish mix.
+// boost-style combiner over a splitmix64-style mix.  Byte strings that
+// must hash alike everywhere (history digests, snapshot content hashes)
+// use 64-bit FNV-1a.
 #pragma once
 
 #include <cstddef>
@@ -18,6 +20,18 @@ inline void hash_combine(std::size_t& seed, std::uint64_t v) noexcept {
   v = (v ^ (v >> 30)) * 0xbf58476d1ce4e5b9ULL;
   v = (v ^ (v >> 27)) * 0x94d049bb133111ebULL;
   seed ^= v ^ (v >> 31);
+}
+
+/// 64-bit FNV-1a over a contiguous range of byte-sized values (a string
+/// or a byte vector).
+template <typename Bytes>
+std::uint64_t fnv1a(const Bytes& bytes) noexcept {
+  std::uint64_t h = 14695981039346656037ull;  // offset basis
+  for (const auto b : bytes) {
+    h ^= static_cast<unsigned char>(b);
+    h *= 1099511628211ull;  // FNV prime
+  }
+  return h;
 }
 
 /// Hash of a vector of integral values.

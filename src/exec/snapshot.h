@@ -25,8 +25,9 @@
 // Serialization is a flat little-endian byte stream via ByteWriter /
 // ByteReader; per-spec state encoding is the StateCodec<State>
 // customization point (specialized for the token family in
-// exec/exec_specs.h).  The content hash is FNV-1a over the encoding, so
-// "same hash" means "same bytes" means "same cut".
+// exec/exec_specs.h).  The content hash is 64-bit FNV-1a over the
+// encoding (common/hash.h, as for history digests), so "same hash"
+// means "same bytes" means "same cut".
 #pragma once
 
 #include <algorithm>
@@ -35,6 +36,7 @@
 
 #include "atomic/ledger.h"
 #include "common/error.h"
+#include "common/hash.h"
 #include "common/wire.h"
 
 namespace tokensync {
@@ -135,14 +137,7 @@ struct Snapshot {
 
   /// FNV-1a over the encoding: equal across replicas that cut the same
   /// boundary of the same committed prefix.
-  std::uint64_t content_hash() const {
-    std::uint64_t h = 1469598103934665603ull;
-    for (std::uint8_t b : serialize()) {
-      h ^= b;
-      h *= 1099511628211ull;
-    }
-    return h;
-  }
+  std::uint64_t content_hash() const { return fnv1a(serialize()); }
 };
 
 }  // namespace tokensync

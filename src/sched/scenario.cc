@@ -9,6 +9,7 @@
 #include <variant>
 
 #include "atbcast/at_bcast.h"
+#include "common/hash.h"
 #include "common/rng.h"
 #include "dyntoken/dyntoken.h"
 #include "exec/exec_specs.h"
@@ -122,14 +123,7 @@ LatencySummary summarize_latencies(std::vector<std::uint64_t> all) {
   return s;
 }
 
-std::uint64_t digest_history(const std::string& h) {
-  std::uint64_t d = 14695981039346656037ull;  // FNV-1a offset basis
-  for (unsigned char c : h) {
-    d ^= c;
-    d *= 1099511628211ull;
-  }
-  return d;
-}
+std::uint64_t digest_history(const std::string& h) { return fnv1a(h); }
 
 std::string ScenarioReport::summary() const {
   char buf[256];

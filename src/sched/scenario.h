@@ -440,7 +440,7 @@ inline void note_quiescence(ScenarioReport& rep, bool quiescent) {
 /// Merges per-replica commit latencies into the summary percentiles.
 LatencySummary summarize_latencies(std::vector<std::uint64_t> all);
 
-/// FNV-style digest of the canonical history string.
+/// FNV-1a digest (common/hash.h) of the canonical history string.
 std::uint64_t digest_history(const std::string& h);
 
 /// The lowest-id correct replica — the audit's reference for history
