@@ -1,12 +1,18 @@
 // Tests for the single-decree Paxos engine (fixed groups): agreement and
 // validity under delays, drops, proposer duels, and acceptor crashes;
 // a late proposer learning the decision, and per-instance proposer and
-// acceptor records ending at decide.
+// acceptor records ending at decide.  Then the total-order broadcast on
+// top of it, driven directly: dedup by the per-origin frontier (injected
+// decisions, a snapshot's advance_to), the FIFO assertion, and
+// agreement under loss and duplication.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <optional>
+#include <tuple>
+#include <vector>
 
+#include "atbcast/total_order.h"
 #include "dyntoken/paxos.h"
 
 namespace tokensync {
@@ -159,6 +165,129 @@ TEST(Paxos, SubgroupQuorumsExcludeOutsiders) {
   const auto v = c.agreed(77);
   ASSERT_TRUE(v.has_value());
   EXPECT_EQ(v->x, 123u);
+}
+
+// ---------------------------------------------------------------------------
+// TotalOrderBcast on its own.
+// ---------------------------------------------------------------------------
+
+using Delivery = std::tuple<std::uint64_t, ProcessId, std::uint64_t>;
+
+struct TobCluster {
+  using Tob = TotalOrderBcast<Val>;
+  using Msg = PaxosMsg<TobCmd<Val>>;
+  Tob::Net net;
+  std::vector<std::unique_ptr<Tob>> nodes;
+  /// delivered[p] = (slot, origin, nonce) in node p's delivery order.
+  std::vector<std::vector<Delivery>> delivered;
+
+  TobCluster(std::size_t n, NetConfig cfg) : net(n, cfg), delivered(n) {
+    for (ProcessId p = 0; p < n; ++p) {
+      nodes.push_back(std::make_unique<Tob>(
+          net, p,
+          [this, p](std::uint64_t slot, ProcessId origin,
+                    std::uint64_t nonce, const Val&) {
+            delivered[p].emplace_back(slot, origin, nonce);
+          }));
+    }
+  }
+
+  /// Hands node 0 node 1's kDecide for `slot` carrying (origin, nonce),
+  /// and runs the net dry.
+  void decide(std::uint64_t slot, ProcessId origin, std::uint64_t nonce) {
+    Msg m;
+    m.type = Msg::Type::kDecide;
+    m.instance = slot;
+    m.value = TobCmd<Val>{origin, nonce, Val{nonce}};
+    net.send(1, 0, m);
+    net.run();
+  }
+};
+
+// Paxos value adoption can decide one (origin, nonce) in two slots: the
+// later one is not delivered, and the slot still counts as delivered.
+TEST(TotalOrderBcast, RepeatedOriginNonceAtALaterSlotIsNotDelivered) {
+  TobCluster c(4, NetConfig{.seed = 1});
+  c.decide(0, 2, 1);
+  c.decide(1, 2, 1);  // the adoption-race duplicate
+  c.decide(2, 2, 2);
+  EXPECT_EQ(c.delivered[0], (std::vector<Delivery>{{0, 2, 1}, {2, 2, 2}}));
+  EXPECT_EQ(c.nodes[0]->delivered_count(), 3u);
+  EXPECT_EQ(c.nodes[0]->origin_frontiers(),
+            (std::vector<std::uint64_t>{0, 0, 2, 0}));
+}
+
+// A snapshot install raises the frontiers: a nonce at or below
+// F[origin] is covered, wherever it lands, and F[origin] + 1 is next.
+TEST(TotalOrderBcast, AdvanceToSuppressesNoncesTheFrontierCovers) {
+  TobCluster c(4, NetConfig{.seed = 1});
+  const std::vector<std::uint64_t> f{0, 3, 0, 5};
+  c.nodes[0]->advance_to(5, f);
+  EXPECT_EQ(c.nodes[0]->origin_frontiers(), f);
+  c.decide(5, 2, 1);  // an uncovered origin delivers as usual
+  c.decide(6, 1, 3);  // == F[1]
+  c.decide(7, 1, 2);  // <  F[1]
+  c.decide(8, 3, 5);  // == F[3]
+  EXPECT_EQ(c.delivered[0], (std::vector<Delivery>{{5, 2, 1}}));
+  EXPECT_EQ(c.nodes[0]->origin_frontiers(),
+            (std::vector<std::uint64_t>{0, 3, 1, 5}));
+  c.decide(9, 1, 4);  // F[1] + 1
+  EXPECT_EQ(c.delivered[0], (std::vector<Delivery>{{5, 2, 1}, {9, 1, 4}}));
+  EXPECT_EQ(c.nodes[0]->origin_frontiers(),
+            (std::vector<std::uint64_t>{0, 4, 1, 5}));
+  EXPECT_EQ(c.nodes[0]->delivered_count(), 10u);
+}
+
+// Per-origin nonces deliver contiguously; a gap in them means the
+// frontier no longer describes the delivered prefix, so delivery stops.
+TEST(TotalOrderBcastDeathTest, NonceTwoAboveTheFrontierTripsTheFifoAssert) {
+  EXPECT_DEATH(
+      {
+        TobCluster c(4, NetConfig{.seed = 1});
+        c.decide(0, 2, 2);
+      },
+      "invariant failed: cmd.nonce == frontier");
+}
+
+// Four origins broadcast 20 payloads each through lossy, duplicating
+// links: every replica delivers the same (slot, origin, nonce)
+// sequence, each origin's nonces 1..20 in order, and ends with every
+// frontier at 20.
+TEST(TotalOrderBcast, AgreementAndPerOriginFifoUnderLossAndDuplication) {
+  constexpr std::uint64_t kPerOrigin = 20;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    TobCluster c(4, NetConfig{.seed = seed, .drop_num = 10, .dup_num = 20});
+    for (ProcessId p = 0; p < 4; ++p) {
+      for (std::uint64_t i = 1; i <= kPerOrigin; ++i) {
+        c.nodes[p]->broadcast(Val{100 * p + i});
+      }
+    }
+    const auto settled = [&c] {
+      for (ProcessId p = 0; p < 4; ++p) {
+        if (c.delivered[p].size() < 4 * kPerOrigin) return false;
+      }
+      return true;
+    };
+    c.net.run();
+    // Replicas that missed the last decisions have no gap evidence to
+    // react to; the drivers' end-of-run anti-entropy probe reaches them.
+    for (int round = 0; round < 100 && !settled(); ++round) {
+      for (const auto& n : c.nodes) n->sync();
+      c.net.run();
+    }
+    ASSERT_TRUE(settled()) << "seed " << seed;
+    for (ProcessId p = 0; p < 4; ++p) {
+      EXPECT_EQ(c.delivered[p], c.delivered[0]) << "seed " << seed;
+      EXPECT_TRUE(c.nodes[p]->all_settled()) << "seed " << seed;
+      EXPECT_EQ(c.nodes[p]->origin_frontiers(),
+                std::vector<std::uint64_t>(4, kPerOrigin))
+          << "seed " << seed;
+    }
+    std::vector<std::uint64_t> last(4, 0);
+    for (const auto& [slot, origin, nonce] : c.delivered[0]) {
+      EXPECT_EQ(nonce, ++last[origin]) << "seed " << seed << " slot " << slot;
+    }
+  }
 }
 
 }  // namespace
