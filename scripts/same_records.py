@@ -14,9 +14,9 @@ every record of one seed (the warmup and each run) must equal the
 others of the same binary in every field except `wall_ns`, and that one
 record per seed must be equal across the two binaries.  Simulated
 counters are deterministic per seed, so a change meant to move no event,
-byte or history line must leave them equal.  Prints the first field that
-differs per workload and exits 1 on any difference.  Standard library
-only.
+byte or history line must leave them equal.  Prints every field that
+differs, per workload and seed, and exits 1 on any difference.  Standard
+library only.
 """
 
 import argparse
@@ -29,39 +29,41 @@ WORKLOADS = ["block_storm", "block_snap", "mp_lossy", "hybrid_mixed",
 IGNORED = {"wall_ns"}
 
 
-def differing_field(a, b):
-    """Returns the first field but `wall_ns` where a and b differ, or None."""
-    for key in sorted((set(a) | set(b)) - IGNORED):
-        if a.get(key) != b.get(key):
-            return f"field {key}: {a.get(key)!r} vs {b.get(key)!r}"
-    return None
+def differing_fields(a, b):
+    """Returns every field but `wall_ns` where a and b differ."""
+    return [f"field {key}: {a.get(key)!r} vs {b.get(key)!r}"
+            for key in sorted((set(a) | set(b)) - IGNORED)
+            if a.get(key) != b.get(key)]
 
 
 def records(binary, workload, seeds):
-    """Returns one record per seed, and why a seed's records differ from
-    each other (None when they agree)."""
+    """Returns one record per seed, and every way a seed's records differ
+    from each other (each field once per seed)."""
     out = subprocess.run(
         [binary, "e2e", "--workload", workload, "--seeds", seeds,
          "--seconds", "0.1"],
         check=True, capture_output=True, text=True).stdout
     data = json.loads(out.strip().splitlines()[-1])
-    by_seed, problem = {}, None
+    by_seed, problems = {}, []
     for rec in [data["warmup"]] + data["runs"]:
-        diff = differing_field(by_seed.setdefault(rec["seed"], rec), rec)
-        if diff and problem is None:
+        for diff in differing_fields(by_seed.setdefault(rec["seed"], rec),
+                                     rec):
             problem = f"{binary} seed {rec['seed']}: runs differ, {diff}"
-    return by_seed, problem
+            if problem not in problems:
+                problems.append(problem)
+    return by_seed, problems
 
 
-def first_difference(parent, change):
-    """Returns a description of the first differing field, or None."""
+def differences(parent, change):
+    """Returns every differing field of every seed."""
+    out = []
     for seed in sorted(set(parent) | set(change)):
         if seed not in parent or seed not in change:
-            return f"seed {seed}: no record from one binary"
-        diff = differing_field(parent[seed], change[seed])
-        if diff:
-            return f"seed {seed} {diff}"
-    return None
+            out.append(f"seed {seed}: no record from one binary")
+            continue
+        out += [f"seed {seed} {diff}"
+                for diff in differing_fields(parent[seed], change[seed])]
+    return out
 
 
 def main():
@@ -77,9 +79,11 @@ def main():
         (parent, p_err), (change, c_err) = (
             records(binary, w, args.seeds)
             for binary in (args.parent, args.change))
-        diff = p_err or c_err or first_difference(parent, change)
-        print(f"{w}: {'same' if diff is None else 'DIFFERS: ' + diff}")
-        differ = differ or diff is not None
+        diffs = p_err + c_err + differences(parent, change)
+        print(f"{w}: {'DIFFERS' if diffs else 'same'}")
+        for diff in diffs:
+            print(f"  {diff}")
+        differ = differ or bool(diffs)
     return 1 if differ else 0
 
 
