@@ -71,7 +71,7 @@ std::pair<std::uint64_t, std::uint64_t> run_workload(
 
   std::uint64_t settled = 0;
   for (const auto& n : nodes) {
-    settled += n->all_submissions_settled() ? 1 : 0;
+    settled += n->all_settled() ? 1 : 0;
   }
   return {net.stats().sent, settled};
 }

@@ -15,6 +15,7 @@ AtBcastNode::AtBcastNode(Net& net, ProcessId self,
 }
 
 bool AtBcastNode::submit_transfer(AccountId dst, Amount amount) {
+  ++submitted_;
   const AccountId src = account_of(self_);
   TS_EXPECTS(dst < balances_.size());
   // Honest issuers spend only what their own applied view holds; the
@@ -43,6 +44,18 @@ void AtBcastNode::apply_or_park(ProcessId origin, const AtTransfer& t) {
     return;
   }
   parked_.emplace_back(origin, t);
+}
+
+std::string AtBcastNode::history() const {
+  std::string h = "applied=";
+  h += std::to_string(applied_);
+  h += " balances=[";
+  for (AccountId a = 0; a < balances_.size(); ++a) {
+    if (a > 0) h += ',';
+    h += std::to_string(balances_[a]);
+  }
+  h += "]\n";
+  return h;
 }
 
 void AtBcastNode::drain_parked() {

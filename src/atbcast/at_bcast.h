@@ -19,6 +19,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "bcast/erb.h"
@@ -61,6 +62,33 @@ class AtBcastNode {
     return last_applied_time_;
   }
 
+  // The cluster harness's surface (sched/scenario.h's ReplicaRuntime).
+  // No total order exists, so the committed "history" of this commuting
+  // workload is its converged final state.
+  /// No probe: ERB's retransmission is its anti-entropy (and ERB writes
+  /// off crashed peers, so the network quiesces under every profile).
+  void sync() {}
+  /// Every submit_transfer call, refused or not.
+  std::size_t submitted() const noexcept { return submitted_; }
+  /// No transfer is parked for lack of funds.
+  bool all_settled() const noexcept { return parked_.empty(); }
+  /// "applied=<count> balances=[b0,b1,...]\n".
+  std::string history() const;
+  bool same_history(const AtBcastNode& ref) const {
+    return applied_ == ref.applied_ && balances_ == ref.balances_;
+  }
+  bool history_prefix_of(const AtBcastNode& ref) const {
+    return applied_ <= ref.applied_;
+  }
+  /// This node records no commit latencies.
+  std::vector<std::uint64_t> commit_latencies() const { return {}; }
+  /// Every applied transfer counts as one slot and one op.
+  std::size_t slots_committed() const noexcept { return applied_; }
+  std::size_t ops_committed() const noexcept { return applied_; }
+  std::uint64_t last_commit_time() const noexcept {
+    return last_applied_time_;
+  }
+
  private:
   void on_deliver(ProcessId origin, std::uint64_t seq, const AtTransfer& t);
   /// Applies t if funded; otherwise parks it.  Retries parked transfers
@@ -75,6 +103,7 @@ class AtBcastNode {
   std::deque<std::pair<ProcessId, AtTransfer>> parked_;
   std::uint64_t applied_ = 0;
   std::uint64_t last_applied_time_ = 0;
+  std::size_t submitted_ = 0;
 };
 
 }  // namespace tokensync

@@ -285,8 +285,18 @@ Amount DynTokenNode::total_supply() const {
   return sum;
 }
 
-bool DynTokenNode::all_submissions_settled() const {
-  return my_pending_.empty();
+bool DynTokenNode::all_settled() const { return my_pending_.empty(); }
+
+bool DynTokenNode::history_prefix_of(const DynTokenNode& ref) const {
+  for (AccountId a = 0; a < account_logs_.size(); ++a) {
+    const auto& mine = account_logs_[a];
+    const auto& theirs = ref.account_logs_[a];
+    if (mine.size() > theirs.size() ||
+        !std::equal(mine.begin(), mine.end(), theirs.begin())) {
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace tokensync

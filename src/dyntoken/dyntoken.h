@@ -140,7 +140,23 @@ class DynTokenNode {
 
   /// True iff every operation this node submitted has been decided (in
   /// some slot) — the workload-completion signal for tests and benches.
-  bool all_submissions_settled() const;
+  bool all_settled() const;
+
+  // The cluster harness's surface (sched/scenario.h's ReplicaRuntime).
+  /// Accepted submissions (each drew one nonce).
+  std::size_t submitted() const noexcept { return next_nonce_ - 1; }
+  /// Every processed slot holds one operation.
+  std::size_t slots_committed() const noexcept { return processed_; }
+  std::size_t ops_committed() const noexcept { return processed_; }
+  /// This node records no commit latencies.
+  std::vector<std::uint64_t> commit_latencies() const { return {}; }
+  bool same_history(const DynTokenNode& ref) const {
+    return account_logs_ == ref.account_logs_;
+  }
+  /// Per account, this node's log is a prefix of `ref`'s — the agreement
+  /// a crashed replica owes: replicas interleave accounts differently, so
+  /// the account-major rendering need not be a string prefix.
+  bool history_prefix_of(const DynTokenNode& ref) const;
 
   /// The group that will decide the next slot of account a, per this
   /// node's processed prefix.

@@ -35,15 +35,20 @@
 // having it executable is what makes the comparison with atbcast/ (CN = 1
 // asset transfer) and dyntoken/ (per-σ-group consensus) concrete.
 //
-// This file is one of three node runtimes over the shared ReplicaCore
-// plumbing (net/replica_core.h — the committed log, the canonical
-// history rendering, latency and settlement bookkeeping):
+// This file is one of the seven node runtimes the scenario driver runs
+// through one ClusterHarness (sched/scenario.h).  Four of them share the
+// ReplicaCore plumbing (net/replica_core.h — the committed log, the
+// canonical history rendering, latency and settlement bookkeeping):
 //   * ReplicaNode (here)      — one command per consensus slot;
 //   * BlockReplicaNode        — one BLOCK per slot, replayed through the
 //     (net/block_replica.h)     parallel executor (DESIGN.md §10);
 //   * HybridReplicaNode       — CN = 1 ops over the consensus-free ERB
 //     (net/hybrid_replica.h)    fast lane, CN > 1 ops through slots,
-//                               merged at slot barriers (DESIGN.md §11).
+//                               merged at slot barriers (DESIGN.md §11);
+//   * MultiProposerNode       — sub-block lanes under reference-only
+//     (net/multi_proposer.h)    consensus (DESIGN.md §16).
+// ShardedReplicaNode (net/shard_group.h) runs one BlockReplicaNode per
+// group; DynTokenNode and AtBcastNode keep their own state.
 #pragma once
 
 #include <concepts>

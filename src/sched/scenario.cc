@@ -1,6 +1,6 @@
-// Scenario driver implementation: the named workload scripts, each replica
-// runtime's additions to ClusterHarness's audit, and the audits of the
-// runtimes that do not ride it.  See scenario.h for the model.
+// Scenario driver implementation: the named workload scripts and each
+// replica runtime's additions to ClusterHarness's audit.  See scenario.h
+// for the model.
 #include "sched/scenario.h"
 
 #include <cstdio>
@@ -43,8 +43,6 @@ const char* to_string(Workload w) {
     case Workload::kErc777ApproveBurn: return "erc777_approve_burn";
     case Workload::kDynTokenReconfig: return "dyntoken_reconfig";
     case Workload::kAtBcastPayments: return "at_bcast_payments";
-    case Workload::kErc20ParallelStorm: return "erc20_parallel_storm";
-    case Workload::kMixedCommuteEscalate: return "mixed_commute_escalate";
     case Workload::kErc20BlockStorm: return "erc20_block_storm";
     case Workload::kMixedBlockEscalate: return "mixed_block_escalate";
     case Workload::kErc20FastlaneStorm: return "erc20_fastlane_storm";
@@ -68,8 +66,7 @@ const std::vector<Workload>& all_workloads() {
   static const std::vector<Workload> kAll = {
       Workload::kErc20TransferStorm, Workload::kErc721MintTradeRace,
       Workload::kErc777ApproveBurn, Workload::kDynTokenReconfig,
-      Workload::kAtBcastPayments, Workload::kErc20ParallelStorm,
-      Workload::kMixedCommuteEscalate, Workload::kErc20BlockStorm,
+      Workload::kAtBcastPayments, Workload::kErc20BlockStorm,
       Workload::kMixedBlockEscalate, Workload::kErc20FastlaneStorm,
       Workload::kMixedSyncTiers, Workload::kErc20ZipfianShards};
   return kAll;
@@ -526,325 +523,65 @@ ScenarioReport run_erc777_approve_burn(const ScenarioConfig& cfg) {
 ScenarioReport run_dyntoken_reconfig(const ScenarioConfig& cfg) {
   const std::size_t n = cfg.num_replicas;
   const Amount kInitial = 50;
-  DynTokenNode::Net net(n, make_net_config(cfg.fault, cfg.seed));
-  arm_fault_schedule(net, cfg.fault);
-
-  std::vector<std::unique_ptr<DynTokenNode>> nodes;
-  for (ProcessId p = 0; p < n; ++p) {
-    nodes.push_back(std::make_unique<DynTokenNode>(
-        net, p, std::vector<Amount>(n, kInitial)));
-  }
-  const auto correct = correct_mask(n, cfg.fault);
-  std::size_t submitted = 0;
-  const auto submit_at = [&](ProcessId p, std::uint64_t t, DynOp op) {
-    DynTokenNode* node = nodes[p].get();
-    net.call_at(p, t, [node, op] { node->submit(op); });
-    if (correct[p]) ++submitted;
-  };
+  ClusterHarness<DynTokenNode> h(cfg, std::vector<Amount>(n, kInitial));
 
   // Fast-path payments from every owner (consensus-free singleton groups).
   for (ProcessId p = 0; p < n; ++p) {
-    submit_at(p, 6 + p, DynOp::transfer(static_cast<AccountId>((p + 1) % n), 5));
+    h.submit_at(p, 6 + p,
+                DynOp::transfer(static_cast<AccountId>((p + 1) % n), 5));
   }
   // Epoch 1: issuer approves p1; p1 spends under the 2-member group.
-  submit_at(0, 20, DynOp::approve(1, 20));
-  submit_at(1, 40, DynOp::transfer_from(0, 1, 10));
+  h.submit_at(0, 20, DynOp::approve(1, 20));
+  h.submit_at(1, 40, DynOp::transfer_from(0, 1, 10));
   // Epoch 2: group grows to {0,1,2}; p1 and p2 race the same account.
-  submit_at(0, 60, DynOp::approve(2, 15));
-  submit_at(1, 80, DynOp::transfer_from(0, 3, 5));
-  submit_at(2, 81, DynOp::transfer_from(0, 2, 15));
+  h.submit_at(0, 60, DynOp::approve(2, 15));
+  h.submit_at(1, 80, DynOp::transfer_from(0, 3, 5));
+  h.submit_at(2, 81, DynOp::transfer_from(0, 2, 15));
   // Epoch 3: revocation — p1's remaining allowance drops to 0, so its
   // next spend aborts identically on every replica.
-  submit_at(0, 100, DynOp::approve(1, 0));
-  submit_at(1, 110, DynOp::transfer_from(0, 1, 5));
+  h.submit_at(0, 100, DynOp::approve(1, 0));
+  h.submit_at(1, 110, DynOp::transfer_from(0, 1, 5));
   // Background fast-path load, scaled by intensity (p3.. stay quiet so
   // the minority-crash profile never needs a crashed group member).
   const std::size_t movers = std::min<std::size_t>(n, 3);
   for (std::size_t j = 0; j < cfg.intensity; ++j) {
     for (ProcessId p = 0; p < movers; ++p) {
-      submit_at(p, 130 + 9 * j + p,
-                DynOp::transfer(static_cast<AccountId>((p + 1 + j) % n), 1));
+      h.submit_at(p, 130 + 9 * j + p,
+                  DynOp::transfer(static_cast<AccountId>((p + 1 + j) % n), 1));
     }
   }
-
-  const bool quiescent = drain_to_convergence(net, [&nodes, &correct] {
-    for (std::size_t p = 0; p < nodes.size(); ++p) {
-      if (correct[p]) nodes[p]->sync();
-    }
-  });
-
-  ScenarioReport rep;
-  const std::size_t ref = reference_replica(correct);
-  fill_report_skeleton(rep, to_string(cfg.workload), cfg.fault, cfg.seed, n,
-                       net.now(), net.stats(), nodes[ref]->history(),
-                       nodes[ref]->processed_ops(),
-                       nodes[ref]->last_commit_time());
-  note_quiescence(rep, quiescent);
-  rep.submitted = submitted;
-  const Amount expected = kInitial * n;
-  for (std::size_t p = 0; p < n; ++p) {
-    if (correct[p]) {
-      if (!nodes[p]->all_submissions_settled()) {
-        rep.settled = false;
-        rep.violations.push_back("replica " + std::to_string(p) +
-                                 " has unsettled submissions");
-      }
-      if (nodes[p]->history() != rep.history) {
-        rep.agreement = false;
-        rep.violations.push_back("replica " + std::to_string(p) +
-                                 " history diverges");
-      }
-    } else {
-      // Per-account prefix agreement: dyntoken replicas interleave
-      // accounts differently, so a crashed replica is compared per
-      // account log, not on the account-major rendering.
-      const auto& logs = nodes[p]->account_logs();
-      const auto& ref_logs = nodes[ref]->account_logs();
-      for (AccountId a = 0; a < logs.size(); ++a) {
-        if (logs[a].size() > ref_logs[a].size() ||
-            !std::equal(logs[a].begin(), logs[a].end(),
-                        ref_logs[a].begin())) {
-          rep.agreement = false;
-          rep.violations.push_back(
-              "crashed replica " + std::to_string(p) + " account " +
-              std::to_string(a) + " log is not a prefix");
-        }
-      }
-    }
-    if (nodes[p]->total_supply() != expected) {
-      rep.conservation = false;
-      rep.violations.push_back(
-          "replica " + std::to_string(p) + ": supply " +
-          std::to_string(nodes[p]->total_supply()) +
-          " != " + std::to_string(expected));
-    }
-  }
-  return rep;
+  return h.finish(supply_is(kInitial * n));
 }
 
 // -------------------------------------------------------------------------
 // Consensus-free asset transfer over reliable broadcast: the CN = 1 end
-// of the hierarchy.  No total order exists (by design), so the committed
-// "history" of this commuting workload is its converged final state.
+// of the hierarchy.  The audited "history" is the converged final state
+// (AtBcastNode::history).
 // -------------------------------------------------------------------------
 
 ScenarioReport run_at_bcast_payments(const ScenarioConfig& cfg) {
   const std::size_t n = cfg.num_replicas;
   const Amount kInitial = 100;
-  AtBcastNode::Net net(n, make_net_config(cfg.fault, cfg.seed));
-  arm_fault_schedule(net, cfg.fault);
+  ClusterHarness<AtBcastNode> h(cfg, std::vector<Amount>(n, kInitial));
 
-  std::vector<std::unique_ptr<AtBcastNode>> nodes;
-  for (ProcessId p = 0; p < n; ++p) {
-    nodes.push_back(std::make_unique<AtBcastNode>(
-        net, p, std::vector<Amount>(n, kInitial)));
-  }
-  const auto correct = correct_mask(n, cfg.fault);
-  std::size_t submitted = 0;
   for (std::size_t j = 0; j < cfg.intensity; ++j) {
     for (ProcessId p = 0; p < n; ++p) {
-      AtBcastNode* node = nodes[p].get();
       const auto dst = static_cast<AccountId>((p + 1 + j) % n);
       const Amount v = 1 + j % 2;
-      net.call_at(p, 8 + 9 * j + 2 * p,
-                  [node, dst, v] { node->submit_transfer(dst, v); });
-      if (correct[p]) ++submitted;
+      h.at(p, 8 + 9 * j + 2 * p,
+           [dst, v](AtBcastNode& node) { node.submit_transfer(dst, v); });
     }
   }
-
-  // ERB's periodic retransmission IS its anti-entropy; there is no sync()
-  // to call (the extra drain rounds are no-ops once the queue empties —
-  // ERB writes off crashed peers via the crash oracle, so the network
-  // quiesces under every profile).
-  const bool quiescent = drain_to_convergence(net, /*sync_all=*/nullptr);
-
-  const std::size_t ref = reference_replica(correct);
-  std::string h = "applied=" + std::to_string(nodes[ref]->applied_count()) +
-                  " balances=[";
-  for (AccountId a = 0; a < n; ++a) {
-    h += (a ? "," : "") + std::to_string(nodes[ref]->balance(a));
-  }
-  h += "]\n";
-  ScenarioReport rep;
-  fill_report_skeleton(rep, to_string(cfg.workload), cfg.fault, cfg.seed, n,
-                       net.now(), net.stats(), std::move(h),
-                       nodes[ref]->applied_count(),
-                       nodes[ref]->last_applied_time());
-  note_quiescence(rep, quiescent);
-  rep.submitted = submitted;
+  // The node keeps no total: the supply is its balances' sum.
   const Amount expected = kInitial * n;
-  for (std::size_t p = 0; p < n; ++p) {
-    if (!correct[p]) continue;
-    if (nodes[p]->applied_count() != nodes[ref]->applied_count() ||
-        nodes[p]->balances() != nodes[ref]->balances()) {
-      rep.agreement = false;
-      rep.violations.push_back("replica " + std::to_string(p) +
-                               " final state diverges");
-    }
-    if (nodes[p]->parked_count() != 0) {
-      rep.settled = false;
-      rep.violations.push_back("replica " + std::to_string(p) + " has " +
-                               std::to_string(nodes[p]->parked_count()) +
-                               " parked transfers");
-    }
-    Amount sum = 0;
-    for (AccountId a = 0; a < n; ++a) sum += nodes[p]->balance(a);
-    if (sum != expected) {
-      rep.conservation = false;
-      rep.violations.push_back("replica " + std::to_string(p) + ": supply " +
-                               std::to_string(sum) +
-                               " != " + std::to_string(expected));
-    }
-  }
-  return rep;
-}
-
-// -------------------------------------------------------------------------
-// Hardware executor workloads (ISSUE 3): the commutativity-aware
-// parallel executor over a ConcurrentLedger.  No network exists here —
-// the fault axis is inert (every profile runs the identical script) and
-// the audits compare THREAD COUNTS instead of replicas:
-//
-//   agreement     — thread counts 1, 2 and 8 produce byte-identical
-//                   final ledger state, all equal to the sequential
-//                   specification folded over the batch;
-//   conservation  — the workload's supply invariant on that final state;
-//   settlement    — every thread count returned the sequential
-//                   responses, one per submitted operation.
-// -------------------------------------------------------------------------
-
-template <typename LedgerSpec>
-ScenarioReport run_executor_workload(
-    const ScenarioConfig& cfg,
-    const typename LedgerSpec::SeqState& initial,
-    const std::vector<typename ConcurrentLedger<LedgerSpec>::BatchOp>& batch,
-    const std::function<std::optional<std::string>(
-        const typename LedgerSpec::SeqState&)>& conserve) {
-  // The sequential reference: the batch folded through the pure spec.
-  typename LedgerSpec::SeqState seq = initial;
-  std::vector<Response> seq_responses;
-  seq_responses.reserve(batch.size());
-  for (const auto& b : batch) {
-    auto [r, next] = LedgerSpec::SeqSpec::apply(seq, b.caller, b.op);
-    seq_responses.push_back(r);
-    seq = std::move(next);
-  }
-
-  ScenarioReport rep;
-  BatchSchedule sched;
-  std::vector<std::string> violations;
-  bool agreement = true;
-  bool settled = true;
-  bool conservation = true;
-  for (const std::size_t threads : {1, 2, 8}) {
-    ConcurrentLedger<LedgerSpec> ledger(initial, /*validation_spin=*/0,
-                                        /*num_shards=*/0);
-    ParallelExecutor<LedgerSpec> exec(ledger, {.threads = threads});
-    const ExecReport er = exec.execute(batch);
-    sched = er.schedule;
-    const auto snapshot = ledger.snapshot();
-    if (!(snapshot == seq)) {
-      agreement = false;
-      violations.push_back("threads=" + std::to_string(threads) +
-                           " final state diverges from sequential spec");
-    }
-    if (er.responses != seq_responses) {
-      settled = false;
-      violations.push_back("threads=" + std::to_string(threads) +
-                           " responses diverge from sequential spec");
-    }
-    if (auto v = conserve(snapshot)) {
-      conservation = false;
-      violations.push_back("threads=" + std::to_string(threads) + ": " + *v);
-    }
-  }
-
-  // The committed "history" of a hardware batch is its schedule plus the
-  // (thread-count-invariant) final state.
-  std::string history = sched.to_string() + "\n" + seq.to_string() + "\n";
-  fill_report_skeleton(rep, to_string(cfg.workload), cfg.fault, cfg.seed,
-                       cfg.num_replicas, /*sim_time=*/0, NetStats{},
-                       std::move(history), batch.size());
-  rep.submitted = batch.size();
-  rep.agreement = agreement;
-  rep.settled = settled;
-  rep.conservation = conservation;
-  rep.violations = std::move(violations);
-  return rep;
-}
-
-// ERC20 parallel storm: a mostly-commuting transfer stream over 16
-// accounts (the conflict graph stays wide ⇒ few waves), salted with
-// allowance traffic and a rare totalSupply barrier.  A pure function of
-// (seed, intensity).
-ScenarioReport run_erc20_parallel_storm(const ScenarioConfig& cfg) {
-  constexpr std::size_t kAccts = 16;
-  const Amount kInitial = 100;
-  Rng rng(cfg.seed);
-  std::vector<Erc20Ledger::BatchOp> batch;
-  const std::size_t ops = 60 * cfg.intensity;
-  for (std::size_t i = 0; i < ops; ++i) {
-    const auto caller = static_cast<ProcessId>(rng.below(kAccts));
-    const auto dst = static_cast<AccountId>(rng.below(kAccts));
-    const auto roll = rng.below(50);
-    if (roll == 0) {
-      batch.push_back({caller, Erc20Op::total_supply()});  // barrier
-    } else if (roll < 5) {
-      batch.push_back({caller, Erc20Op::approve(
-                                   static_cast<ProcessId>(dst), 3)});
-    } else if (roll < 10) {
-      batch.push_back(
-          {caller, Erc20Op::transfer_from(
-                       static_cast<AccountId>(rng.below(kAccts)), dst, 1)});
-    } else {
-      batch.push_back({caller, Erc20Op::transfer(dst, 1 + rng.below(3))});
-    }
-  }
-  return run_executor_workload<Erc20LedgerSpec>(
-      cfg, erc20_initial(kAccts, kInitial, 2), batch,
-      supply_is(kInitial * kAccts));
-}
-
-// Mixed commute/escalate: the ERC721 fast path (argument-footprint
-// transfers, operator management) interleaved with the state-dependent-σ
-// admin fragment (approve/ownerOf — escalated to the sequential lane;
-// DESIGN.md §9's escalation rule, exercised end to end).
-ScenarioReport run_mixed_commute_escalate(const ScenarioConfig& cfg) {
-  constexpr std::size_t kAccts = 12;
-  constexpr std::size_t kTokens = 30;
-  std::vector<AccountId> owners(kTokens);
-  for (std::size_t t = 0; t < kTokens; ++t) {
-    owners[t] = static_cast<AccountId>(t % kAccts);
-  }
-  const Erc721State initial(kAccts, owners);
-  Rng rng(cfg.seed);
-  std::vector<Erc721Ledger::BatchOp> batch;
-  const std::size_t ops = 50 * cfg.intensity;
-  for (std::size_t i = 0; i < ops; ++i) {
-    const auto caller = static_cast<ProcessId>(rng.below(kAccts));
-    const auto tok = static_cast<TokenId>(rng.below(kTokens));
-    const auto roll = rng.below(20);
-    if (roll < 2) {  // escalates: σ = {owner_of(token)}, state-dependent
-      batch.push_back({caller, Erc721Op::approve(
-                                   static_cast<ProcessId>(
-                                       rng.below(kAccts)),
-                                   tok)});
-    } else if (roll < 3) {  // escalates
-      batch.push_back({caller, Erc721Op::owner_of(tok)});
-    } else if (roll < 5) {  // fast path: σ = {caller}
-      batch.push_back({caller, Erc721Op::set_approval_for_all(
-                                   static_cast<ProcessId>(
-                                       rng.below(kAccts)),
-                                   rng.chance(1, 2))});
-    } else {  // fast path: σ = {src, dst}
-      batch.push_back(
-          {caller, Erc721Op::transfer_from(
-                       static_cast<AccountId>(caller),
-                       static_cast<AccountId>(rng.below(kAccts)), tok)});
-    }
-  }
-  return run_executor_workload<Erc721LedgerSpec>(
-      cfg, initial, batch, owners_valid(kAccts, kTokens));
+  return h.finish(
+      [expected](const AtBcastNode& node) -> std::optional<std::string> {
+        Amount supply = 0;
+        for (const Amount b : node.balances()) supply += b;
+        if (supply == expected) return std::nullopt;
+        return "supply " + std::to_string(supply) + " != " +
+               std::to_string(expected);
+      });
 }
 
 // -------------------------------------------------------------------------
@@ -1205,10 +942,6 @@ ScenarioReport run_scenario(const ScenarioConfig& cfg) {
       return run_dyntoken_reconfig(cfg);
     case Workload::kAtBcastPayments:
       return run_at_bcast_payments(cfg);
-    case Workload::kErc20ParallelStorm:
-      return run_erc20_parallel_storm(cfg);
-    case Workload::kMixedCommuteEscalate:
-      return run_mixed_commute_escalate(cfg);
     case Workload::kErc20BlockStorm:
       return run_erc20_block_storm(cfg);
     case Workload::kMixedBlockEscalate:

@@ -5,13 +5,12 @@
 // builds a replica cluster, arms a fault schedule (link loss,
 // duplication, a partition that heals, a minority crash), registers a
 // deterministic client script through SimNet::script_at, drains the
-// network to convergence, and audits the committed histories.  The five
-// replica runtimes (ReplicaNode, BlockReplicaNode, MultiProposerNode,
-// HybridReplicaNode, ShardedReplicaNode) present one surface,
-// ReplicaRuntime, and ride one driver, ClusterHarness, with one audit;
-// each runtime adds only its own counters and checks.  DynTokenNode, the
-// broadcast asset transfer and the hardware executor workloads keep their
-// own audits.  The audits:
+// network to convergence, and audits the committed histories.  The seven
+// node runtimes (ReplicaNode, BlockReplicaNode, MultiProposerNode,
+// HybridReplicaNode, ShardedReplicaNode, DynTokenNode and the broadcast
+// asset transfer's AtBcastNode) present one surface, ReplicaRuntime, and
+// ride one driver, ClusterHarness, with one audit; each runtime adds only
+// its own counters and checks.  The audits:
 //
 //   agreement     — every correct replica's committed history is
 //                   byte-identical; a crashed replica's history is a
@@ -84,15 +83,13 @@ enum class FaultProfile : std::uint8_t {
   kByzantineEquivocate,
 };
 
-/// The named workloads.  The first five (ISSUE 2) are distributed: a
-/// replica cluster over SimNet, where the fault axis is live.  The next
-/// two (ISSUE 3) are HARDWARE workloads: they drive the commutativity-
-/// aware parallel executor (src/exec/) over a ConcurrentLedger — no
-/// network exists, so every fault profile runs them identically (the
-/// axis is inert) and the audits compare thread counts instead of
-/// replicas: the same batch must produce byte-identical ledger state on
-/// 1, 2 and 8 threads, equal to the sequential specification's.
-/// The last two (ISSUE 4) are BLOCK-PIPELINE workloads: distributed like
+/// The named workloads, each a replica cluster over SimNet with a live
+/// fault axis.  The first five (ISSUE 2) are the replicated ledgers (one
+/// command per consensus slot), dyntoken's per-account groups and the
+/// broadcast asset transfer.  (The parallel executor of src/exec/ is
+/// audited against the sequential specification in tests/exec_test.cc,
+/// and runs inside every replica of the block workloads.)
+/// The next two (ISSUE 4) are BLOCK-PIPELINE workloads: distributed like
 /// the first five (live fault axis — blocks must survive drop,
 /// duplication, partition+heal, minority crash), but each consensus slot
 /// carries a whole block that every replica replays through its parallel
@@ -115,8 +112,6 @@ enum class Workload : std::uint8_t {
   kErc777ApproveBurn,    ///< replicated ERC777: operator churn + burn contention
   kDynTokenReconfig,     ///< dyntoken: issuer reconfigures spender groups
   kAtBcastPayments,      ///< consensus-free asset transfer over reliable bcast
-  kErc20ParallelStorm,   ///< executor: commuting ERC20 storm across waves
-  kMixedCommuteEscalate, ///< executor: ERC721 fast path + escalated admin ops
   kErc20BlockStorm,      ///< block pipeline: batched ERC20 storm, parallel replay
   kMixedBlockEscalate,   ///< block pipeline: ERC721 blocks with escalation lanes
   kErc20FastlaneStorm,   ///< hybrid: pure owner-signed transfers, zero slots
@@ -443,48 +438,6 @@ LatencySummary summarize_latencies(std::vector<std::uint64_t> all);
 /// FNV-1a digest (common/hash.h) of the canonical history string.
 std::uint64_t digest_history(const std::string& h);
 
-/// The lowest-id correct replica — the audit's reference for history
-/// comparisons.  At least one replica is always correct (crash profiles
-/// keep a majority).
-inline std::size_t reference_replica(const std::vector<bool>& correct) {
-  std::size_t r = 0;
-  while (r < correct.size() && !correct[r]) ++r;
-  TS_ASSERT(r < correct.size());
-  return r;
-}
-
-/// Fills the config/trace part every scenario report shares: identity,
-/// network stats, canonical history + digest, commit throughput, and the
-/// audit flags initialized to "clean" (the caller's audit loop then
-/// clears whichever invariant fails).
-/// `last_commit` is the reference replica's last commit time — the span
-/// throughput is measured over (0 falls back to sim_time).
-inline void fill_report_skeleton(ScenarioReport& rep, std::string workload,
-                                 FaultProfile fault, std::uint64_t seed,
-                                 std::size_t replicas,
-                                 std::uint64_t sim_time, const NetStats& net,
-                                 std::string history, std::size_t committed,
-                                 std::uint64_t last_commit = 0) {
-  rep.workload = std::move(workload);
-  rep.fault = to_string(fault);
-  rep.seed = seed;
-  rep.replicas = replicas;
-  rep.sim_time = sim_time;
-  rep.net = net;
-  rep.history = std::move(history);
-  rep.history_digest = digest_history(rep.history);
-  rep.committed = committed;
-  rep.slots = committed;  // block workloads overwrite with their block count
-  const std::uint64_t span = last_commit > 0 ? last_commit : sim_time;
-  if (span > 0) {
-    rep.commits_per_ktime = 1000.0 * static_cast<double>(committed) /
-                            static_cast<double>(span);
-  }
-  rep.agreement = true;
-  rep.conservation = true;
-  rep.settled = true;
-}
-
 /// The drain step of the cluster harness (and of the tests' hand-built
 /// clusters): run to quiescence with anti-entropy probes from the
 /// correct replicas.
@@ -504,10 +457,11 @@ template <typename Net, typename Node>
 // ---------------------------------------------------------------------------
 
 /// The surface the cluster harness drives.  ReplicaNode, BlockReplicaNode,
-/// MultiProposerNode, HybridReplicaNode and ShardedReplicaNode all present
-/// it under these names.  Each also has its own client intake (`submit`
-/// with the runtime's arguments, or the shard router's transfer/migrate),
-/// which the script reaches through ClusterHarness::submit_at / at.
+/// MultiProposerNode, HybridReplicaNode, ShardedReplicaNode, DynTokenNode
+/// and AtBcastNode all present it under these names.  Each also has its
+/// own client intake (`submit` with the runtime's arguments, or the shard
+/// router's and the asset transfer's submit_transfer), which the script
+/// reaches through ClusterHarness::submit_at / at.
 template <typename N>
 concept ReplicaRuntime = requires(N& n, const N& c) {
   typename N::Net;
@@ -572,8 +526,14 @@ class ClusterHarness {
   const Node& node(std::size_t p) const { return *nodes_[p]; }
   std::size_t size() const noexcept { return nodes_.size(); }
   bool correct(std::size_t p) const { return correct_[p]; }
-  /// The audit's reference replica (the lowest-id correct one).
-  std::size_t reference() const { return reference_replica(correct_); }
+  /// The audit's reference replica: the lowest-id correct one (crash
+  /// profiles keep a majority, so one exists).
+  std::size_t reference() const {
+    std::size_t r = 0;
+    while (r < correct_.size() && !correct_[r]) ++r;
+    TS_ASSERT(r < correct_.size());
+    return r;
+  }
   std::optional<ProcessId> rejoiner() const noexcept { return rejoiner_; }
 
   /// Scripts `node.submit(args...)` at replica `p`, time `t`.  The node
@@ -636,11 +596,26 @@ class ClusterHarness {
     }
     const Node& ref = *nodes_[reference()];
     ScenarioReport rep;
-    fill_report_skeleton(rep, to_string(cfg_.workload), cfg_.fault, cfg_.seed,
-                         cfg_.num_replicas, net_.now(), net_.stats(),
-                         ref.history(), ref.ops_committed(),
-                         ref.last_commit_time());
+    rep.workload = to_string(cfg_.workload);
+    rep.fault = to_string(cfg_.fault);
+    rep.seed = cfg_.seed;
+    rep.replicas = cfg_.num_replicas;
+    rep.committed = ref.ops_committed();
     rep.slots = ref.slots_committed();
+    rep.sim_time = net_.now();
+    rep.net = net_.stats();
+    rep.history = ref.history();
+    rep.history_digest = digest_history(rep.history);
+    // The audits below clear whichever flag fails.
+    rep.agreement = rep.conservation = rep.settled = true;
+    // Throughput over the span to the reference's last commit (the whole
+    // run if it committed nothing).
+    const std::uint64_t span =
+        ref.last_commit_time() > 0 ? ref.last_commit_time() : rep.sim_time;
+    if (span > 0) {
+      rep.commits_per_ktime = 1000.0 * static_cast<double>(rep.committed) /
+                              static_cast<double>(span);
+    }
     audit_agreement(rep, ref);
     note_quiescence(rep, quiescent);
     if constexpr (RelayingRuntime<Node>) {
@@ -718,12 +693,15 @@ class ClusterHarness {
     rep.latency = summarize_latencies(std::move(lats));
   }
 
-  /// The replicated state a conservation check reads.
+  /// The replicated state a conservation check reads (the node itself
+  /// where it holds the token state directly).
   static decltype(auto) state_of(const Node& n) {
     if constexpr (requires { n.machine().state(); }) {
       return n.machine().state();
-    } else {
+    } else if constexpr (requires { n.engine().ledger().snapshot(); }) {
       return n.engine().ledger().snapshot();
+    } else {
+      return n;
     }
   }
 

@@ -36,7 +36,7 @@ struct Cluster {
 
   bool all_settled() const {
     for (const auto& n : nodes) {
-      if (!n->all_submissions_settled()) return false;
+      if (!n->all_settled()) return false;
     }
     return true;
   }

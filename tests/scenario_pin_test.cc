@@ -136,16 +136,6 @@ const char* const kPinned[] = {
     "at_bcast_payments/lossy_dup 13903439485313469963 24 24 210 1041 74736 0 0 0 0",
     "at_bcast_payments/partition_heal 13903439485313469963 24 24 764 1733 131456 0 0 0 0",
     "at_bcast_payments/minority_crash 15736932774887498571 22 22 112 681 49296 0 0 0 0",
-    "erc20_parallel_storm/none 14907512537769676910 360 360 0 0 0 0 0 0 0",
-    "erc20_parallel_storm/lossy 14907512537769676910 360 360 0 0 0 0 0 0 0",
-    "erc20_parallel_storm/lossy_dup 14907512537769676910 360 360 0 0 0 0 0 0 0",
-    "erc20_parallel_storm/partition_heal 14907512537769676910 360 360 0 0 0 0 0 0 0",
-    "erc20_parallel_storm/minority_crash 14907512537769676910 360 360 0 0 0 0 0 0 0",
-    "mixed_commute_escalate/none 12509703928611148869 300 300 0 0 0 0 0 0 0",
-    "mixed_commute_escalate/lossy 12509703928611148869 300 300 0 0 0 0 0 0 0",
-    "mixed_commute_escalate/lossy_dup 12509703928611148869 300 300 0 0 0 0 0 0 0",
-    "mixed_commute_escalate/partition_heal 12509703928611148869 300 300 0 0 0 0 0 0 0",
-    "mixed_commute_escalate/minority_crash 12509703928611148869 300 300 0 0 0 0 0 0 0",
     "erc20_block_storm/none 5549791008959903716 72 19 767 838 141716 19 533 9080 0",
     "erc20_block_storm/lossy 10434823453193259512 72 19 1576 1154 200816 19 1324 9080 0",
     "erc20_block_storm/lossy_dup 17059786171626132584 72 19 1094 1101 185184 19 854 9080 0",

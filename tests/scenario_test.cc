@@ -149,40 +149,6 @@ TEST(ScenarioMatrix, AtBcastPaymentsLossy) {
       cfg(Workload::kAtBcastPayments, FaultProfile::kLossyLinks)));
 }
 
-// --- The hardware executor workloads (ISSUE 3): parallel-vs-sequential
-// --- equivalence audits across thread counts 1/2/8, and an inert fault
-// --- axis (no network exists, so every profile runs identically).
-
-TEST(ScenarioDeterminism, Erc20ParallelStormSameSeedSameBytes) {
-  const auto c = cfg(Workload::kErc20ParallelStorm, FaultProfile::kNone);
-  const auto a = run_scenario(c);
-  const auto b = run_scenario(c);
-  expect_ok(a);
-  expect_identical(a, b);
-}
-
-TEST(ScenarioDeterminism, MixedCommuteEscalateSameSeedSameBytes) {
-  const auto c = cfg(Workload::kMixedCommuteEscalate, FaultProfile::kNone);
-  const auto a = run_scenario(c);
-  const auto b = run_scenario(c);
-  expect_ok(a);
-  expect_identical(a, b);
-}
-
-TEST(ScenarioMatrix, ExecutorWorkloadsFaultAxisIsInert) {
-  for (Workload w :
-       {Workload::kErc20ParallelStorm, Workload::kMixedCommuteEscalate}) {
-    const auto ref = run_scenario(cfg(w, FaultProfile::kNone));
-    expect_ok(ref);
-    EXPECT_NE(ref.history.find("waves"), std::string::npos);
-    for (FaultProfile f : all_fault_profiles()) {
-      const auto rep = run_scenario(cfg(w, f));
-      expect_ok(rep);
-      EXPECT_EQ(rep.history, ref.history);  // same batch, same schedule
-    }
-  }
-}
-
 // --- The sharded workload (ISSUE 8): erc20_zipfian_shards counters and
 // --- determinism.  (The AllWorkloadsFaultFree matrix above already runs
 // --- it at the num_groups = 1 degenerate; the deep fault × thread
