@@ -124,5 +124,22 @@ TEST(AtBcast, ForgedIssuerIsIgnored) {
   EXPECT_EQ(c.nodes[2]->balance(0), 10u);
 }
 
+// The cluster harness's agreement audit compares the applied count and
+// the balances: a pair that applied as many transfers, but different
+// ones, diverges.
+TEST(AtBcastAudit, DifferentTransfersAreNotTheSameHistory) {
+  Cluster a(3, {10, 0, 0}, NetConfig{.seed = 1});
+  Cluster b(3, {10, 0, 0}, NetConfig{.seed = 1});
+  EXPECT_TRUE(a.nodes[0]->submit_transfer(1, 4));
+  EXPECT_TRUE(b.nodes[0]->submit_transfer(2, 4));
+  a.settle();
+  b.settle();
+  ASSERT_EQ(a.nodes[0]->applied_count(), b.nodes[0]->applied_count());
+  EXPECT_TRUE(a.nodes[2]->same_history(*a.nodes[0]));
+  EXPECT_FALSE(b.nodes[0]->same_history(*a.nodes[0]));
+  EXPECT_FALSE(a.nodes[0]->same_history(*b.nodes[0]));
+  EXPECT_NE(a.nodes[0]->history(), b.nodes[0]->history());
+}
+
 }  // namespace
 }  // namespace tokensync

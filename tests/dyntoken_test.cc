@@ -185,5 +185,43 @@ TEST(DynToken, LossySpendStillSettles) {
   }
 }
 
+// The cluster harness's agreement audit: a crashed replica must hold, per
+// account, a prefix of the reference's log.
+TEST(DynTokenAudit, StoppedReplicaHoldsAPrefixOfEveryAccountLog) {
+  Cluster c(3, {30, 30, 30}, NetConfig{.seed = 5});
+  EXPECT_TRUE(c.nodes[0]->submit(DynOp::transfer(1, 5)));
+  EXPECT_TRUE(c.nodes[1]->submit(DynOp::transfer(2, 5)));
+  c.settle();
+  c.net.crash(2);
+  EXPECT_TRUE(c.nodes[0]->submit(DynOp::transfer(2, 1)));
+  EXPECT_TRUE(c.nodes[1]->submit(DynOp::transfer(0, 1)));
+  c.settle();
+  const DynTokenNode& ref = *c.nodes[0];
+  const DynTokenNode& stopped = *c.nodes[2];
+  EXPECT_TRUE(c.nodes[1]->same_history(ref));
+  EXPECT_FALSE(stopped.same_history(ref));
+  EXPECT_TRUE(stopped.history_prefix_of(ref));
+  EXPECT_FALSE(ref.history_prefix_of(stopped));
+  // The account-major rendering is no string prefix: the reference's
+  // a0[1] comes before the a1[0] both hold.
+  EXPECT_FALSE(ref.history().starts_with(stopped.history()));
+}
+
+TEST(DynTokenAudit, OneDivergingAccountLogFailsThePrefix) {
+  // Two runs that agree on account 1's log and differ in account 0's.
+  Cluster a(3, {30, 30, 30}, NetConfig{.seed = 7});
+  Cluster b(3, {30, 30, 30}, NetConfig{.seed = 7});
+  EXPECT_TRUE(a.nodes[0]->submit(DynOp::transfer(1, 5)));
+  EXPECT_TRUE(b.nodes[0]->submit(DynOp::transfer(1, 6)));
+  for (Cluster* c : {&a, &b}) {
+    EXPECT_TRUE(c->nodes[1]->submit(DynOp::transfer(2, 5)));
+    c->settle();
+  }
+  ASSERT_EQ(a.nodes[0]->account_logs()[1], b.nodes[0]->account_logs()[1]);
+  EXPECT_FALSE(a.nodes[0]->history_prefix_of(*b.nodes[0]));
+  EXPECT_FALSE(b.nodes[0]->history_prefix_of(*a.nodes[0]));
+  EXPECT_FALSE(a.nodes[0]->same_history(*b.nodes[0]));
+}
+
 }  // namespace
 }  // namespace tokensync

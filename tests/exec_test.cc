@@ -182,7 +182,7 @@ void expect_equivalent(const typename LedgerSpec::SeqState& initial,
 
 TEST(ExecEquivalence, Erc20MatchesSequentialSpec) {
   const auto batch = erc20_batch(/*seed=*/11, /*ops=*/300);
-  for (const std::size_t threads : {1, 2, 4}) {
+  for (const std::size_t threads : {1, 2, 4, 8}) {
     for (const std::size_t shards : {std::size_t{1}, std::size_t{4}, kAccounts}) {
       expect_equivalent<Erc20LedgerSpec>(erc20_initial(), batch,
                                          {.threads = threads}, shards);
@@ -192,7 +192,7 @@ TEST(ExecEquivalence, Erc20MatchesSequentialSpec) {
 
 TEST(ExecEquivalence, Erc721MatchesSequentialSpec) {
   const auto batch = erc721_batch(/*seed=*/13, /*ops=*/300, /*tokens=*/36);
-  for (const std::size_t threads : {1, 2, 4}) {
+  for (const std::size_t threads : {1, 2, 4, 8}) {
     expect_equivalent<Erc721LedgerSpec>(erc721_initial(36), batch,
                                         {.threads = threads}, kAccounts);
   }
@@ -200,7 +200,7 @@ TEST(ExecEquivalence, Erc721MatchesSequentialSpec) {
 
 TEST(ExecEquivalence, Erc777MatchesSequentialSpec) {
   const auto batch = erc777_batch(/*seed=*/17, /*ops=*/300);
-  for (const std::size_t threads : {1, 2, 4}) {
+  for (const std::size_t threads : {1, 2, 4, 8}) {
     expect_equivalent<Erc777LedgerSpec>(erc777_initial(), batch,
                                         {.threads = threads}, 4);
   }
